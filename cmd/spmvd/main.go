@@ -18,8 +18,9 @@
 // With -tuning-db PATH the service runs the (C, σ) auto-tuner once
 // per uploaded matrix structure (internal/tuner), serves it with the
 // winning format, persists winners in the JSONL tuning DB, and
-// publishes service_tuning_lag_ratio so the health engine can flag
-// matrices running slower than their tuned prediction.
+// publishes service_tuning_lag_ratio for host-tier applications so the
+// health engine can flag matrices running slower than their tuned
+// prediction.
 //
 // The service shares one port with the whole observability surface:
 // /metrics, /dashboard, /healthz, /spans, /tenants.json and the /v1

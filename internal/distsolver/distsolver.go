@@ -149,13 +149,13 @@ type Operator struct {
 	devNonLocal *formats.ELLPACKR[float64]
 	devWorkers  int
 
-	// Host kernels for the split application, built lazily on the first
-	// host-path Apply (pure host runs and the ECC downgrade path) from
-	// the process-default hostkernel kind. Workers is pinned to 1:
-	// ranks are already process-parallel, so intra-rank worker pools
-	// would only oversubscribe the node.
-	hostLocal    hostkernel.Kernel
-	hostNonLocal hostkernel.Kernel
+	// Blocked CRS host kernels for the split application, built lazily
+	// on the first host-path Apply (pure host runs and the ECC
+	// downgrade path). Workers is pinned to 1: ranks are already
+	// process-parallel, so intra-rank worker pools would only
+	// oversubscribe the node.
+	hostLocal    *hostkernel.BlockedCRS
+	hostNonLocal *hostkernel.BlockedCRS
 }
 
 // UseDevice routes every subsequent Apply through the GPU simulator on
@@ -243,17 +243,8 @@ func (op *Operator) deviceMul(y, x, halo []float64) error {
 func (op *Operator) hostMul(y, x, halo []float64) error {
 	if op.hostLocal == nil {
 		opt := hostkernel.Options{Workers: 1}
-		kind := hostkernel.DefaultKind()
-		local, err := hostkernel.New(kind, op.RP.Local, opt)
-		if err != nil {
-			return err
-		}
-		nonLocal, err := hostkernel.New(kind, op.RP.NonLocal, opt)
-		if err != nil {
-			local.Close()
-			return err
-		}
-		op.hostLocal, op.hostNonLocal = local, nonLocal
+		op.hostLocal = hostkernel.NewBlockedCRS(op.RP.Local, opt)
+		op.hostNonLocal = hostkernel.NewBlockedCRS(op.RP.NonLocal, opt)
 	}
 	if err := op.hostLocal.MulVec(y, x); err != nil {
 		return err

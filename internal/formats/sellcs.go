@@ -11,13 +11,13 @@ import (
 // sliced-ELLPACK family: the matrix is cut into chunks of C rows
 // padded to the chunk maximum, after sorting rows by descending
 // length inside windows of σ rows. The SlicedELL type of this package
-// is exactly that parameterization — this file adds the SELL-C-σ
-// vocabulary on top of it: the canonical names, the named presets the
-// repo's fixed formats correspond to, and the zero-padding overhead β
-// that the (C, σ) auto-tuner minimizes.
+// is exactly that parameterization (NewSlicedELLWith(m, C, σ, opt)) —
+// this file adds the SELL-C-σ vocabulary on top of it: the canonical
+// names and the zero-padding overhead β that the (C, σ) auto-tuner
+// minimizes. The repo's fixed formats are two points of the family:
 //
-//   - pJDS           = SELL-32-∞ (global sort, warp-height chunks)
-//   - plain SlicedELL = SELL-C-1  (no sort)
+//   - pJDS           = SELL-32-∞ (NewSlicedELLWith(m, 32, m.NRows, opt))
+//   - plain SlicedELL = SELL-C-1  (NewSlicedELLWith(m, C, 1, opt))
 //
 // See DESIGN.md "SELL-C-σ and the format tuner" for the full mapping
 // to the paper's quantities.
@@ -34,28 +34,6 @@ func SELLName(c, sigma, n int) string {
 		sigma = 1
 	}
 	return fmt.Sprintf("SELL-%d-%d", c, sigma)
-}
-
-// NewSELLCSigma builds the SELL-C-σ layout with explicit chunk height
-// and sorting scope — the tunable constructor the (C, σ) auto-tuner
-// sweeps. It is NewSlicedELLWith under the canonical name.
-func NewSELLCSigma[T matrix.Float](m *matrix.CSR[T], c, sigma int, opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, c, sigma, opt)
-}
-
-// NewSELLPJDSEquivalent builds the SELL-32-∞ preset: globally sorted
-// rows in warp-height chunks, the SELL-C-σ point that reproduces the
-// paper's pJDS layout (identical permutation, identical stored-element
-// count — only the column-major-in-chunk storage differs from pJDS's
-// jagged diagonals).
-func NewSELLPJDSEquivalent[T matrix.Float](m *matrix.CSR[T], opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, 32, m.NRows, opt)
-}
-
-// NewSELLC1 builds the unsorted SELL-C-1 preset: the original
-// sliced-ELLPACK of Monakov et al., rows in matrix order.
-func NewSELLC1[T matrix.Float](m *matrix.CSR[T], c int, opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, c, 1, opt)
 }
 
 // SELLName returns the canonical SELL-C-σ name of this layout

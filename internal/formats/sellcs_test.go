@@ -26,13 +26,13 @@ func TestSELLName(t *testing.T) {
 	}
 }
 
-// TestSELLPJDSEquivalence checks the SELL-32-∞ preset against pJDS:
+// TestSELLPJDSEquivalence checks SELL-32-∞ against pJDS:
 // same row permutation, same stored-element count — the format
 // identity pJDS = SELL-32-∞ from arXiv:1307.6209 (§II of DESIGN.md's
 // tuner section).
 func TestSELLPJDSEquivalence(t *testing.T) {
 	m := randomCSR(300, 300, 0.05, 7)
-	s, err := NewSELLPJDSEquivalent(m, matrix.ConvertOptions{})
+	s, err := NewSlicedELLWith(m, 32, m.NRows, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +51,26 @@ func TestSELLPJDSEquivalence(t *testing.T) {
 	}
 }
 
-// TestSELLC1MatchesUnsortedSliced pins the SELL-C-1 preset to the
-// original unsorted sliced-ELLPACK.
+// TestSELLC1MatchesUnsortedSliced pins SELL-C-1 to the original
+// unsorted sliced-ELLPACK: rows keep matrix order and every slice pads
+// to the longest of its C consecutive rows.
 func TestSELLC1MatchesUnsortedSliced(t *testing.T) {
 	m := randomCSR(200, 180, 0.05, 3)
-	a, err := NewSELLC1(m, 8, matrix.ConvertOptions{})
+	a, err := NewSlicedELLWith(m, 8, 1, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSlicedELL(m, 8, 1)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(a.Perm, matrix.Identity(m.NRows)) {
+		t.Error("SELL-C-1 reordered rows")
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("SELL-C-1 preset differs from NewSlicedELL(m, c, 1)")
+	for sl := range a.SliceLen {
+		want := 0
+		for i := sl * 8; i < min(sl*8+8, m.NRows); i++ {
+			want = max(want, m.RowPtr[i+1]-m.RowPtr[i])
+		}
+		if int(a.SliceLen[sl]) != want {
+			t.Fatalf("slice %d padded to %d, want %d", sl, a.SliceLen[sl], want)
+		}
 	}
 	if a.SELLName() != "SELL-8-1" {
 		t.Errorf("SELLName = %q", a.SELLName())
@@ -77,7 +83,7 @@ func TestZeroPaddingMonotoneInSigma(t *testing.T) {
 	m := randomCSR(512, 512, 0.03, 11)
 	prev := math.Inf(1)
 	for _, sigma := range []int{1, 32, 128, 512} {
-		s, err := NewSELLCSigma(m, 16, sigma, matrix.ConvertOptions{})
+		s, err := NewSlicedELLWith(m, 16, sigma, matrix.ConvertOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

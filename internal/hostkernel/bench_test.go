@@ -51,21 +51,11 @@ func BenchmarkHostNaive(b *testing.B) {
 
 func BenchmarkHostCRS(b *testing.B) {
 	m := benchMatrix()
-	for _, bc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"unroll4", Options{Unroll: 4}},
-		{"unroll8", Options{Unroll: 8}},
-		{"tiled", Options{Unroll: 4, TileCols: 4096}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			bc.opt.Metrics = telemetry.NewRegistry()
-			k := NewBlockedCRS(m, bc.opt)
-			defer k.Close()
-			benchKernel(b, m, k)
-		})
-	}
+	b.Run("blocked", func(b *testing.B) {
+		k := NewBlockedCRS(m, Options{Metrics: telemetry.NewRegistry()})
+		defer k.Close()
+		benchKernel(b, m, k)
+	})
 }
 
 func BenchmarkHostSELL(b *testing.B) {

@@ -9,44 +9,23 @@ import (
 	"pjds/internal/profiles"
 )
 
-// BlockedCRS is the cache-blocked, unrolled CRS kernel. Rows are
-// split once into nnz-balanced contiguous chunks (one per worker,
-// the shared Chunks schedule) and executed on a persistent par.Pool;
-// within a chunk the kernel advances two consecutive rows in lockstep
-// over their common length prefix through bounds-check-free sub-slices
-// (v0/c0/v1/c1 share one compiler-provable length), each row with its
-// own accumulator, then finishes the ragged tails row by row. Unroll
-// selects the stream width of that lockstep loop: 4 keeps the
-// compiler's tight two-stream body (4 operand streams per iteration —
-// two value loads plus two x gathers), 8 additionally unrolls the
-// inner loop 2× (8 streams per iteration). Wider lockstep groups were
-// measured and rejected: with only two rows the profitable lever on
-// this kernel is bounds-check elimination, and four simultaneous
-// slice headers already spill amd64's registers (see DESIGN.md).
-// Per-row summation order never changes, so the result is
-// bit-identical to the naive reference.
-//
-// With Options.TileCols > 0, when the matrix is wider than one x
-// tile and every row's columns are ascending (the layout the CSR
-// assembler produces — the gather-friendly column ordering), the
-// kernel instead walks x in TileCols-sized column tiles: all rows of
-// a chunk consume tile t before any row moves to tile t+1, so a tile
-// of x is loaded into cache once per chunk instead of once per row.
-// Each row's partial sum is threaded through the tiles in stored
-// column order, so the result stays bit-identical to the naive
-// reference. Tiling is opt-in because the per-row cursor walk costs
-// ~2× on short-row matrices and only pays when x badly misses cache.
+// BlockedCRS is the blocked CRS kernel. Rows are split once into
+// nnz-balanced contiguous chunks (one per worker, the shared Chunks
+// schedule) and executed on a persistent par.Pool; within a chunk the
+// kernel advances two consecutive rows in lockstep over their common
+// length prefix through bounds-check-free sub-slices (v0/c0/v1/c1
+// share one compiler-provable length), each row with its own
+// accumulator, then finishes the ragged tails row by row. Wider
+// lockstep groups and inner unrolling measured no faster, x-column
+// tiling ~2× slower: with only two rows the profitable lever on this
+// kernel is bounds-check elimination (see DESIGN.md). Per-row
+// summation order never changes, so the result is bit-identical to
+// the naive reference.
 type BlockedCRS struct {
 	m      *matrix.CSR[float64]
-	unroll int
-	tile   int // x-tile width in columns; 0 = single tile
 	bounds []int
 	pool   *par.Pool
-	// cur/acc are the tiled path's per-row cursor and partial-sum
-	// scratch, sized once at construction (zero-alloc steady state).
-	cur []int
-	acc []float64
-	mt  *meter
+	mt     *meter
 
 	// Per-apply state published to the pool workers (the pool's
 	// channel send / WaitGroup pair gives the happens-before edges).
@@ -64,20 +43,10 @@ func NewBlockedCRS(m *matrix.CSR[float64], opt Options) *BlockedCRS {
 	if workers < 1 {
 		workers = 1
 	}
-	tile := opt.TileCols
-	if tile < 0 || m.NCols <= tile || !ascendingColumns(m) {
-		tile = 0
-	}
 	k := &BlockedCRS{
 		m:      m,
-		unroll: opt.unroll(),
-		tile:   tile,
 		bounds: Chunks(m.RowPtr, workers),
 		mt:     newMeter(opt.Metrics, string(KindBlocked), int64(m.Nnz()), m.NRows, m.NCols),
-	}
-	if tile > 0 {
-		k.cur = make([]int, m.NRows)
-		k.acc = make([]float64, m.NRows)
 	}
 	k.runFn = k.run
 	if workers > 1 {
@@ -86,21 +55,6 @@ func NewBlockedCRS(m *matrix.CSR[float64], opt Options) *BlockedCRS {
 		runtime.SetFinalizer(k, (*BlockedCRS).Close)
 	}
 	return k
-}
-
-// ascendingColumns reports whether every row's column indices are
-// strictly ascending — the precondition for column tiling to preserve
-// the stored summation order.
-func ascendingColumns(m *matrix.CSR[float64]) bool {
-	for i := 0; i < m.NRows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo + 1; k < hi; k++ {
-			if m.ColIdx[k] <= m.ColIdx[k-1] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Name implements Kernel.
@@ -134,53 +88,21 @@ func (k *BlockedCRS) apply(y, x []float64, add bool) error {
 	return nil
 }
 
-// run executes worker w's row chunk.
+// run executes worker w's row chunk two rows at a time: the pair's
+// common length prefix runs in lockstep through sub-slices whose
+// shared length the compiler can prove, eliding every bounds check on
+// v0/c0/v1/c1, with one independent accumulator per row; the ragged
+// tails then finish row by row. The set and add flavours are separate
+// functions so the hot loop carries no mode branch (keeping the store
+// path out of the loop body is worth ~10% on this kernel).
 func (k *BlockedCRS) run(w int) {
 	lo, hi := k.bounds[w], k.bounds[w+1]
-	if lo >= hi {
-		return
-	}
-	if k.tile > 0 {
-		k.runTiled(lo, hi)
-		return
-	}
-	if k.unroll == 8 {
-		k.rows8(lo, hi)
-		return
-	}
-	k.rows4(lo, hi)
-}
-
-// rows4 executes rows [lo, hi) two at a time: the pair's common
-// length prefix runs in lockstep through sub-slices whose shared
-// length the compiler can prove, eliding every bounds check on
-// v0/c0/v1/c1, with one independent accumulator per row; the ragged
-// tails then finish row by row. Four operand streams per iteration
-// (two value loads, two x gathers) — hence the unroll=4 label. The
-// set and add flavours are separate functions so the hot loop carries
-// no mode branch (keeping the store path out of the loop body is
-// worth ~10% on this kernel).
-func (k *BlockedCRS) rows4(lo, hi int) {
 	m := k.m
 	if k.add {
 		crsPairsAdd(m.RowPtr, m.Val, m.ColIdx, k.y, k.x, lo, hi)
 		return
 	}
 	crsPairsSet(m.RowPtr, m.Val, m.ColIdx, k.y, k.x, lo, hi)
-}
-
-// rows8 is the 8-stream variant of rows4: the same two-row lockstep
-// with the inner loop manually unrolled 2×, so each iteration issues
-// four value loads and four x gathers. Within each row the adds stay
-// in stored column order (s0 += ...[j] then ...[j+1]), preserving
-// bit-identity.
-func (k *BlockedCRS) rows8(lo, hi int) {
-	m := k.m
-	if k.add {
-		crsPairs8Add(m.RowPtr, m.Val, m.ColIdx, k.y, k.x, lo, hi)
-		return
-	}
-	crsPairs8Set(m.RowPtr, m.Val, m.ColIdx, k.y, k.x, lo, hi)
 }
 
 func crsPairsSet(rp []int, val []float64, idx []int32, y, x []float64, lo, hi int) {
@@ -233,158 +155,12 @@ func crsPairsAdd(rp []int, val []float64, idx []int32, y, x []float64, lo, hi in
 	}
 }
 
-func crsPairs8Set(rp []int, val []float64, idx []int32, y, x []float64, lo, hi int) {
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		p0, p1, q0, q1 := rp[i], rp[i+1], rp[i+1], rp[i+2]
-		minL := q0 - p0
-		if l := q1 - p1; l < minL {
-			minL = l
-		}
-		v0 := val[p0 : p0+minL]
-		c0 := idx[p0 : p0+minL]
-		v1 := val[p1 : p1+minL]
-		c1 := idx[p1 : p1+minL]
-		var s0, s1 float64
-		j := 0
-		for ; j+2 <= minL; j += 2 {
-			s0 += v0[j] * x[c0[j]]
-			s1 += v1[j] * x[c1[j]]
-			s0 += v0[j+1] * x[c0[j+1]]
-			s1 += v1[j+1] * x[c1[j+1]]
-		}
-		for ; j < minL; j++ {
-			s0 += v0[j] * x[c0[j]]
-			s1 += v1[j] * x[c1[j]]
-		}
-		y[i] = rowTail(s0, val, idx, x, p0+minL, q0)
-		y[i+1] = rowTail(s1, val, idx, x, p1+minL, q1)
-	}
-	for ; i < hi; i++ {
-		y[i] = rowTail(0, val, idx, x, rp[i], rp[i+1])
-	}
-}
-
-func crsPairs8Add(rp []int, val []float64, idx []int32, y, x []float64, lo, hi int) {
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		p0, p1, q0, q1 := rp[i], rp[i+1], rp[i+1], rp[i+2]
-		minL := q0 - p0
-		if l := q1 - p1; l < minL {
-			minL = l
-		}
-		v0 := val[p0 : p0+minL]
-		c0 := idx[p0 : p0+minL]
-		v1 := val[p1 : p1+minL]
-		c1 := idx[p1 : p1+minL]
-		var s0, s1 float64
-		j := 0
-		for ; j+2 <= minL; j += 2 {
-			s0 += v0[j] * x[c0[j]]
-			s1 += v1[j] * x[c1[j]]
-			s0 += v0[j+1] * x[c0[j+1]]
-			s1 += v1[j+1] * x[c1[j+1]]
-		}
-		for ; j < minL; j++ {
-			s0 += v0[j] * x[c0[j]]
-			s1 += v1[j] * x[c1[j]]
-		}
-		y[i] += rowTail(s0, val, idx, x, p0+minL, q0)
-		y[i+1] += rowTail(s1, val, idx, x, p1+minL, q1)
-	}
-	for ; i < hi; i++ {
-		y[i] += rowTail(0, val, idx, x, rp[i], rp[i+1])
-	}
-}
-
 // rowTail accumulates sum += val[p]·x[idx[p]] over [p, q) — the
 // remainder of one row after its group's lockstep prefix, in the
 // row's stored column order.
 func rowTail(sum float64, val []float64, idx []int32, x []float64, p, q int) float64 {
 	for ; p < q; p++ {
 		sum += val[p] * x[idx[p]]
-	}
-	return sum
-}
-
-// runTiled is the cache-blocked path: all rows of the chunk consume
-// one TileCols-wide segment of x before any row advances to the next
-// tile. Each row's accumulator is threaded through its tile segments
-// (rowSum* take the running sum), so the addition chain is exactly
-// the stored-column-order chain of the naive kernel.
-func (k *BlockedCRS) runTiled(lo, hi int) {
-	m, x := k.m, k.x
-	cur, acc := k.cur, k.acc
-	for i := lo; i < hi; i++ {
-		cur[i] = m.RowPtr[i]
-		acc[i] = 0
-	}
-	for t := 0; t < m.NCols; t += k.tile {
-		tEnd := int32(t + k.tile)
-		for i := lo; i < hi; i++ {
-			p, q := cur[i], m.RowPtr[i+1]
-			if p == q || m.ColIdx[p] >= tEnd {
-				continue
-			}
-			e := p
-			for e < q && m.ColIdx[e] < tEnd {
-				e++
-			}
-			if k.unroll == 8 {
-				acc[i] = rowSum8(acc[i], m.Val[p:e:e], m.ColIdx[p:e:e], x)
-			} else {
-				acc[i] = rowSum4(acc[i], m.Val[p:e:e], m.ColIdx[p:e:e], x)
-			}
-			cur[i] = e
-		}
-	}
-	y := k.y
-	if k.add {
-		for i := lo; i < hi; i++ {
-			y[i] += acc[i]
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		y[i] = acc[i]
-	}
-}
-
-// rowSum4 accumulates sum += v[k]·x[c[k]] over one row segment with a
-// 4-wide unrolled loop. A single accumulator keeps the addition chain
-// identical to the reference kernel (Go never reassociates
-// floating-point arithmetic); the unroll only amortizes loop-counter
-// and branch overhead, and the len-bounded re-sliced inputs let the
-// compiler elide the bounds checks on v and c.
-func rowSum4(sum float64, v []float64, c []int32, x []float64) float64 {
-	k := 0
-	for ; k+4 <= len(v) && k+4 <= len(c); k += 4 {
-		sum += v[k] * x[c[k]]
-		sum += v[k+1] * x[c[k+1]]
-		sum += v[k+2] * x[c[k+2]]
-		sum += v[k+3] * x[c[k+3]]
-	}
-	for ; k < len(v) && k < len(c); k++ {
-		sum += v[k] * x[c[k]]
-	}
-	return sum
-}
-
-// rowSum8 is the 8-wide variant of rowSum4.
-func rowSum8(sum float64, v []float64, c []int32, x []float64) float64 {
-	k := 0
-	for ; k+8 <= len(v) && k+8 <= len(c); k += 8 {
-		sum += v[k] * x[c[k]]
-		sum += v[k+1] * x[c[k+1]]
-		sum += v[k+2] * x[c[k+2]]
-		sum += v[k+3] * x[c[k+3]]
-		sum += v[k+4] * x[c[k+4]]
-		sum += v[k+5] * x[c[k+5]]
-		sum += v[k+6] * x[c[k+6]]
-		sum += v[k+7] * x[c[k+7]]
-	}
-	for ; k < len(v) && k < len(c); k++ {
-		sum += v[k] * x[c[k]]
 	}
 	return sum
 }

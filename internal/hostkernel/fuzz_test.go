@@ -8,25 +8,20 @@ import (
 )
 
 // FuzzHostKernels drives the blocked and SELL kernels with
-// fuzzer-shaped matrices and geometry (worker count, unroll width,
-// tile width, chunk height, sorting window) and demands bit-identity
+// fuzzer-shaped matrices and geometry (worker count, chunk height,
+// sorting window) and demands bit-identity
 // with the naive CRS reference — the same cross-check discipline as
 // the PR5 parallel-vs-sequential conversion fuzz.
 func FuzzHostKernels(f *testing.F) {
-	f.Add(uint8(8), uint8(8), uint8(2), uint8(0), uint8(16), []byte{0x11, 0x22, 0x33})
-	f.Add(uint8(1), uint8(1), uint8(7), uint8(1), uint8(0), []byte{})
-	f.Add(uint8(64), uint8(3), uint8(4), uint8(9), uint8(3), []byte{0xff, 0x00, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, rows, cols, workers, geom, tile uint8, pattern []byte) {
+	f.Add(uint8(8), uint8(8), uint8(2), uint8(0), []byte{0x11, 0x22, 0x33})
+	f.Add(uint8(1), uint8(1), uint8(7), uint8(1), []byte{})
+	f.Add(uint8(64), uint8(3), uint8(4), uint8(9), []byte{0xff, 0x00, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, rows, cols, workers, geom uint8, pattern []byte) {
 		n := int(rows)%64 + 1
 		c := int(cols)%64 + 1
 		w := int(workers)%9 + 1
-		unroll := 4
-		if geom&1 != 0 {
-			unroll = 8
-		}
-		chunkH := int(geom)%7 + 1    // SELL C in [1, 7] exercises the generic path too
-		sigma := int(geom)%48 + 1    // SELL σ
-		tileCols := int(tile)%32 - 1 // ≤ 0 leaves tiling off; small tiles split rows often
+		chunkH := int(geom)%7 + 1 // SELL C in [1, 7] exercises the generic path too
+		sigma := int(geom)%48 + 1 // SELL σ
 		coo := matrix.NewCOO[float64](n, c)
 		for k, b := range pattern {
 			if k >= 4*n {
@@ -45,7 +40,7 @@ func FuzzHostKernels(f *testing.F) {
 		if err := m.MulVec(ref, x); err != nil {
 			t.Fatal(err)
 		}
-		opt := Options{Workers: w, Unroll: unroll, TileCols: tileCols, C: chunkH, Sigma: sigma}
+		opt := Options{Workers: w, C: chunkH, Sigma: sigma}
 		for _, kind := range []Kind{KindBlocked, KindSELL} {
 			k, err := New(kind, m, opt)
 			if err != nil {
@@ -57,8 +52,8 @@ func FuzzHostKernels(f *testing.F) {
 			}
 			for i := range y {
 				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("%s (w=%d unroll=%d tile=%d C=%d σ=%d): y[%d] = %v, reference %v",
-						kind, w, unroll, tileCols, chunkH, sigma, i, y[i], ref[i])
+					t.Fatalf("%s (w=%d C=%d σ=%d): y[%d] = %v, reference %v",
+						kind, w, chunkH, sigma, i, y[i], ref[i])
 				}
 			}
 			seed := append([]float64(nil), ref...)

@@ -1,20 +1,18 @@
 // Package hostkernel is the high-performance CPU spMVM layer: the
 // host execution path of the solver, the ECC-downgrade path of the
-// device operators, and the CPU ranks of the distributed engine all
-// route through it. The GPU numbers of the paper are
-// simulator-modeled, but these kernels burn real cycles, so they get
-// the same treatment a device kernel would: cache blocking, manual
-// unrolling, nnz-balanced static partitioning, and a zero-alloc
-// steady state.
+// service, and the CPU ranks of the distributed engine all route
+// through it. The GPU numbers of the paper are simulator-modeled, but
+// these kernels burn real cycles, so they get the same treatment a
+// device kernel would: lockstep rows, bounds-check elimination,
+// nnz-balanced static partitioning, and a zero-alloc steady state.
 //
-// Three kernels implement the Kernel interface:
+// Four kernels implement the Kernel interface, one per storage layout:
 //
 //   - naive: the sequential CRS reference (exactly matrix.CSR.MulVec),
 //     kept for cross-checks;
 //   - blocked: CRS with rows split into nnz-balanced contiguous
-//     chunks (one per worker), a bounds-check-free two-row-lockstep
-//     inner loop (4 or 8 operand streams wide), and optional cache
-//     blocking that walks x in L2-sized column tiles;
+//     chunks (one per worker) and a bounds-check-free two-row-lockstep
+//     inner loop;
 //   - sell: a SELL-C-σ-style kernel over the SlicedELL layout
 //     (Kreutzer et al., arXiv:1307.6209): rows are sorted by length in
 //     windows of σ and processed C at a time, the chunk height playing
@@ -25,6 +23,9 @@
 //     row-in-strip routing, trading SELL's zero-padding for one
 //     metadata byte per non-zero.
 //
+// PJDSKernel, the fifth, runs the pJDS layout in its permuted basis and
+// is built from a core.PJDS rather than through New.
+//
 // Every kernel is bit-identical to the naive reference at any worker
 // count: floating-point sums are accumulated per row in stored column
 // order with a single accumulator, parallelism only ever assigns whole
@@ -33,7 +34,6 @@ package hostkernel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
@@ -61,7 +61,7 @@ type Kind string
 const (
 	// KindNaive is the sequential CRS reference kernel.
 	KindNaive Kind = "naive"
-	// KindBlocked is the cache-blocked, unrolled CRS kernel.
+	// KindBlocked is the row-chunked, two-row-lockstep CRS kernel.
 	KindBlocked Kind = "blocked"
 	// KindSELL is the SELL-C-σ-style chunked kernel.
 	KindSELL Kind = "sell"
@@ -84,35 +84,9 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists all kernel kinds in deterministic report order.
 func Kinds() []Kind { return []Kind{KindNaive, KindBlocked, KindSELL, KindCMRS} }
 
-// defaultKind holds the process-wide kernel selection (the CLIs'
-// -host-kernel flag). Empty means KindBlocked.
-var defaultKind atomic.Value
-
-// SetDefaultKind selects the kernel kind used by callers that do not
-// choose one themselves (the solver host path, distmv verification).
-func SetDefaultKind(k Kind) error {
-	if _, err := ParseKind(string(k)); err != nil {
-		return err
-	}
-	defaultKind.Store(k)
-	return nil
-}
-
-// DefaultKind returns the process-wide kernel selection.
-func DefaultKind() Kind {
-	if k, ok := defaultKind.Load().(Kind); ok {
-		return k
-	}
-	return KindBlocked
-}
-
-// DefaultTileCols is the recommended x-vector tile width of the
-// blocked kernel in elements: 1<<15 doubles = 256 KiB, half a typical
-// per-core L2, so a tile of x and the streaming row data coexist.
-// Tiling is opt-in (Options.TileCols > 0): the per-row cursor walk
-// costs ~2× on short-row matrices, so it only pays when x misses
-// cache badly — measure before enabling (see DESIGN.md).
-const DefaultTileCols = 1 << 15
+// DefaultC is the SELL chunk height C when the caller does not set
+// one.
+const DefaultC = 4
 
 // DefaultSigma is the SELL sorting window σ when the caller does not
 // set one: local enough to keep the row permutation cache-friendly,
@@ -120,23 +94,13 @@ const DefaultTileCols = 1 << 15
 const DefaultSigma = 256
 
 // Options configure kernel construction. The zero value selects the
-// process-default worker count, 4-wide unrolling, the default tile
-// width and SELL geometry, and no telemetry.
+// process-default worker count, the default SELL geometry, and no
+// telemetry.
 type Options struct {
 	// Workers is the number of row-partition workers; ≤ 0 selects
 	// par.Default(). Workers == 1 runs inline with no pool goroutines.
 	Workers int
-	// Unroll is the inner-loop unroll width: 4 or 8 (0 = 4). For the
-	// SELL kernel it is also the default chunk height C.
-	Unroll int
-	// TileCols is the blocked kernel's x-tile width in elements; ≤ 0
-	// leaves column tiling off (the default — it only pays when x
-	// badly misses cache; DefaultTileCols is the recommended width
-	// when enabling it). Tiling is also disabled automatically when a
-	// row's columns are unsorted, because only ascending columns keep
-	// the tile-by-tile sum in stored-column order.
-	TileCols int
-	// C is the SELL chunk height (0 = Unroll). The CMRS kernel reuses
+	// C is the SELL chunk height (0 = DefaultC). The CMRS kernel reuses
 	// it as the strip height (0 = formats.DefaultStripHeight).
 	C int
 	// Sigma is the SELL sorting window σ (0 = DefaultSigma).
@@ -146,17 +110,6 @@ type Options struct {
 	// kernel kind). Handles are resolved once at construction so the
 	// steady state stays allocation-free.
 	Metrics *telemetry.Registry
-}
-
-// unroll resolves the unroll width.
-func (o Options) unroll() int {
-	switch o.Unroll {
-	case 0, 4:
-		return 4
-	case 8:
-		return 8
-	}
-	return 4
 }
 
 // New builds a kernel of the given kind over m.
@@ -174,14 +127,11 @@ func New(kind Kind, m *matrix.CSR[float64], opt Options) (Kernel, error) {
 	return nil, fmt.Errorf("hostkernel: unknown kind %q", kind)
 }
 
-// MulVec is the one-shot convenience: build the default-kind kernel,
-// apply it once, release it. Callers applying the operator repeatedly
-// should hold a Kernel instead.
+// MulVec is the one-shot convenience: build the blocked kernel, apply
+// it once, release it. Callers applying the operator repeatedly should
+// hold a Kernel instead.
 func MulVec(m *matrix.CSR[float64], y, x []float64) error {
-	k, err := New(DefaultKind(), m, Options{})
-	if err != nil {
-		return err
-	}
+	k := NewBlockedCRS(m, Options{})
 	defer k.Close()
 	return k.MulVec(y, x)
 }

@@ -41,9 +41,8 @@ func testX(n int) []float64 {
 }
 
 // TestKernelsBitIdenticalToNaive is the core contract: every kernel
-// kind, at workers 1, 2, 4 and 8, with both unroll widths, both
-// MulVec and MulVecAdd, must reproduce the matrix.CSR reference
-// bit for bit.
+// kind, at workers 1, 2, 4 and 8, both MulVec and MulVecAdd, must
+// reproduce the matrix.CSR reference bit for bit.
 func TestKernelsBitIdenticalToNaive(t *testing.T) {
 	for name, m := range testMatrices(t) {
 		x := testX(m.NCols)
@@ -61,61 +60,32 @@ func TestKernelsBitIdenticalToNaive(t *testing.T) {
 		}
 		for _, kind := range Kinds() {
 			for _, workers := range []int{1, 2, 4, 8} {
-				for _, unroll := range []int{4, 8} {
-					opt := Options{Workers: workers, Unroll: unroll, TileCols: 100}
-					k, err := New(kind, m, opt)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", name, kind, err)
-					}
-					y := make([]float64, m.NRows)
-					if err := k.MulVec(y, x); err != nil {
-						t.Fatalf("%s/%s workers=%d: %v", name, kind, workers, err)
-					}
-					for i := range y {
-						if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-							t.Fatalf("%s/%s workers=%d unroll=%d: y[%d] = %v, reference %v",
-								name, kind, workers, unroll, i, y[i], ref[i])
-						}
-					}
-					copy(y, seed)
-					if err := k.MulVecAdd(y, x); err != nil {
-						t.Fatal(err)
-					}
-					for i := range y {
-						if math.Float64bits(y[i]) != math.Float64bits(refAdd[i]) {
-							t.Fatalf("%s/%s workers=%d unroll=%d: add y[%d] = %v, reference %v",
-								name, kind, workers, unroll, i, y[i], refAdd[i])
-						}
-					}
-					k.Close()
+				k, err := New(kind, m, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, kind, err)
 				}
+				y := make([]float64, m.NRows)
+				if err := k.MulVec(y, x); err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", name, kind, workers, err)
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s/%s workers=%d: y[%d] = %v, reference %v",
+							name, kind, workers, i, y[i], ref[i])
+					}
+				}
+				copy(y, seed)
+				if err := k.MulVecAdd(y, x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(refAdd[i]) {
+						t.Fatalf("%s/%s workers=%d: add y[%d] = %v, reference %v",
+							name, kind, workers, i, y[i], refAdd[i])
+					}
+				}
+				k.Close()
 			}
-		}
-	}
-}
-
-// TestBlockedTilingExercised forces a multi-tile run (tile width far
-// below NCols) and checks it against a single-tile run of the same
-// kernel kind.
-func TestBlockedTilingExercised(t *testing.T) {
-	m := matgen.Banded(600, 4, 40, 3000, 3)
-	x := testX(m.NCols)
-	ref := make([]float64, m.NRows)
-	if err := m.MulVec(ref, x); err != nil {
-		t.Fatal(err)
-	}
-	k := NewBlockedCRS(m, Options{Workers: 3, TileCols: 64})
-	defer k.Close()
-	if k.tile != 64 {
-		t.Fatalf("tile = %d, want 64 (NCols %d should enable tiling)", k.tile, m.NCols)
-	}
-	y := make([]float64, m.NRows)
-	if err := k.MulVec(y, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range y {
-		if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-			t.Fatalf("tiled y[%d] = %v, reference %v", i, y[i], ref[i])
 		}
 	}
 }
@@ -179,6 +149,8 @@ func TestKernelShapeErrors(t *testing.T) {
 	}
 }
 
+// TestParseKindAndDefault covers flag parsing and the SELL geometry
+// the zero Options select.
 func TestParseKindAndDefault(t *testing.T) {
 	if _, err := ParseKind("warp"); err == nil {
 		t.Fatal("ParseKind accepted an unknown kind")
@@ -186,20 +158,13 @@ func TestParseKindAndDefault(t *testing.T) {
 	if k, err := ParseKind("sell"); err != nil || k != KindSELL {
 		t.Fatalf("ParseKind(sell) = %v, %v", k, err)
 	}
-	if got := DefaultKind(); got != KindBlocked {
-		t.Fatalf("DefaultKind() = %v, want blocked", got)
-	}
-	if err := SetDefaultKind(KindNaive); err != nil {
+	k, err := NewSELL(matgen.Banded(500, 3, 24, 40, 7), Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := DefaultKind(); got != KindNaive {
-		t.Fatalf("DefaultKind() = %v after SetDefaultKind(naive)", got)
-	}
-	if err := SetDefaultKind("bogus"); err == nil {
-		t.Fatal("SetDefaultKind accepted an unknown kind")
-	}
-	if err := SetDefaultKind(KindBlocked); err != nil {
-		t.Fatal(err)
+	defer k.Close()
+	if l := k.Layout(); l.C != DefaultC || l.SortWindow != DefaultSigma {
+		t.Fatalf("zero Options built SELL-%d-%d, want SELL-%d-%d", l.C, l.SortWindow, DefaultC, DefaultSigma)
 	}
 }
 
@@ -279,7 +244,8 @@ func TestMeterPublishes(t *testing.T) {
 	}
 }
 
-// TestSELLGenericChunkHeight covers the non-specialized C path.
+// TestSELLGenericChunkHeight covers the non-specialized C path (C=6)
+// and the C=8 specialization; the bit-identity test runs DefaultC.
 func TestSELLGenericChunkHeight(t *testing.T) {
 	m := matgen.PowerLaw(130, 130, 6, 0.5, 21)
 	x := testX(m.NCols)
@@ -287,18 +253,20 @@ func TestSELLGenericChunkHeight(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewSELL(m, Options{Workers: 3, C: 6, Sigma: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer k.Close()
-	y := make([]float64, m.NRows)
-	if err := k.MulVec(y, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range y {
-		if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-			t.Fatalf("C=6: y[%d] = %v, reference %v", i, y[i], ref[i])
+	for _, c := range []int{6, 8} {
+		k, err := NewSELL(m, Options{Workers: 3, C: c, Sigma: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := make([]float64, m.NRows)
+		if err := k.MulVec(y, x); err != nil {
+			t.Fatal(err)
+		}
+		k.Close()
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("C=%d: y[%d] = %v, reference %v", c, i, y[i], ref[i])
+			}
 		}
 	}
 }
@@ -351,5 +319,40 @@ func TestCMRSKernelOptions(t *testing.T) {
 	}
 	if _, err := NewCMRSKernel(m, Options{C: -3}); err == nil {
 		t.Fatal("negative strip height accepted")
+	}
+}
+
+// TestKernelsZeroAlloc pins the zero-alloc steady state: once built
+// and warmed, every host kernel applies without allocating, inline
+// (Workers 1) and on its worker pool (Workers 2), metered.
+func TestKernelsZeroAlloc(t *testing.T) {
+	m := matgen.PowerLaw(400, 2, 60, 0.6, 11)
+	p, err := core.NewPJDS(m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := testX(m.NCols)
+	y := make([]float64, m.NRows)
+	for _, workers := range []int{1, 2} {
+		opt := Options{Workers: workers, Metrics: telemetry.NewRegistry()}
+		kernels := []Kernel{NewPJDS(p, opt)}
+		for _, kind := range Kinds() {
+			k, err := New(kind, m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels = append(kernels, k)
+		}
+		for _, k := range kernels {
+			for _, apply := range []func(y, x []float64) error{k.MulVec, k.MulVecAdd} {
+				if err := apply(y, x); err != nil { // warm up
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(50, func() { _ = apply(y, x) }); allocs != 0 {
+					t.Errorf("%s workers=%d: %v allocs/op, want 0", k.Name(), workers, allocs)
+				}
+			}
+			k.Close()
+		}
 	}
 }

@@ -5,15 +5,15 @@ import "pjds/internal/matrix"
 // Naive is the sequential CRS reference kernel: it delegates straight
 // to matrix.CSR's MulVec/MulVecAdd, the correctness reference for
 // every other kernel in the repository. It exists so cross-checks,
-// fuzzing, and the -host-kernel=naive CLI path exercise the exact
-// baseline the optimized kernels must be bit-identical to.
+// fuzzing, and spmvbench -hostbench -host-kernel naive exercise the
+// exact baseline the optimized kernels must be bit-identical to.
 type Naive struct {
 	m  *matrix.CSR[float64]
 	mt *meter
 }
 
-// NewNaive builds the reference kernel (Workers, Unroll and TileCols
-// are ignored — the reference is sequential by definition).
+// NewNaive builds the reference kernel (Workers, C and Sigma are
+// ignored — the reference is sequential by definition).
 func NewNaive(m *matrix.CSR[float64], opt Options) *Naive {
 	return &Naive{m: m, mt: newMeter(opt.Metrics, string(KindNaive), int64(m.Nnz()), m.NRows, m.NCols)}
 }

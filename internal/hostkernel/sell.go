@@ -37,12 +37,12 @@ type SELL struct {
 }
 
 // NewSELL converts m into a SlicedELL with chunk height C
-// (0 = the unroll width) and sorting window σ (0 = DefaultSigma) and
-// builds the kernel over it.
+// (0 = DefaultC) and sorting window σ (0 = DefaultSigma) and builds
+// the kernel over it.
 func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 	c := opt.C
 	if c == 0 {
-		c = opt.unroll()
+		c = DefaultC
 	}
 	sigma := opt.Sigma
 	if sigma == 0 {

@@ -533,9 +533,12 @@ func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, wantY bo
 	if err := op.Apply(yp, xp); err != nil {
 		return SpMVResult{}, err
 	}
-	s.recordTuningLag(e, time.Since(t0))
+	tier := op.tierName()
+	if tier == "host" {
+		s.recordTuningLag(e, time.Since(t0))
+	}
 	y := e.op.Leave(make([]float64, n), yp)
-	res := SpMVResult{Digest: DigestVector(y), Tier: op.tierName()}
+	res := SpMVResult{Digest: DigestVector(y), Tier: tier}
 	if wantY {
 		res.Y = y
 	}
@@ -610,12 +613,14 @@ func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, tol flo
 	return res, nil
 }
 
-// recordTuningLag publishes how far a served application ran from its
-// tuning-DB prediction: measured ns/nnz over the winner's tuned
-// ns/nnz, as the per-matrix gauge service_tuning_lag_ratio. The
-// health engine warns past 1.2× (signal "tuning_lag"), catching both
-// stale DB entries and slowdowns the tuner never saw (contention,
-// ApplyDelay, host fallback). No-op when the matrix was not tuned.
+// recordTuningLag publishes how far a host-tier application ran from
+// its tuning-DB prediction: measured ns/nnz over the winner's tuned
+// ns/nnz, as the per-matrix gauge service_tuning_lag_ratio. The tuner
+// times host kernels, so device-tier applications (simulator replays)
+// are not compared against it. The health engine warns past 1.2×
+// (signal "tuning_lag"), catching both stale DB entries and slowdowns
+// the tuner never saw (contention, ApplyDelay). No-op when the matrix
+// was not tuned.
 func (s *Server) recordTuningLag(e *matrixEntry, elapsed time.Duration) {
 	if e.tuned == nil || e.tuned.Winner.MeasuredNsPerNnz <= 0 || e.info.Nnz <= 0 {
 		return

@@ -476,9 +476,7 @@ func TestRejectsNonSquareUpload(t *testing.T) {
 // TestTuneOnUpload: with Config.TuningDB set, the first upload of a
 // matrix sweeps the (C, σ) grid and persists the winner; re-uploads
 // (same tenant or dedup-shared), and a fresh server against the same
-// DB, answer from the cache without re-sweeping. Serving the matrix
-// publishes the per-matrix service_tuning_lag_ratio gauge that feeds
-// the health engine's tuning_lag signal.
+// DB, answer from the cache without re-sweeping.
 func TestTuneOnUpload(t *testing.T) {
 	db := filepath.Join(t.TempDir(), "tuning.jsonl")
 	reg := telemetry.NewRegistry()
@@ -506,19 +504,6 @@ func TestTuneOnUpload(t *testing.T) {
 		t.Fatalf("dedup upload did not reuse the sweep: %+v", shared)
 	}
 
-	// Serving publishes the lag gauge under the matrix name.
-	var res SpMVResult
-	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
-	var lag float64
-	for _, mt := range reg.Snapshot() {
-		if mt.Name == "service_tuning_lag_ratio" && mt.Labels["matrix"] == "a" {
-			lag = mt.Value
-		}
-	}
-	if lag <= 0 {
-		t.Fatal("SpMV did not publish service_tuning_lag_ratio")
-	}
-
 	// A fresh server (simulated restart) against the same DB answers
 	// from the persisted entry: cache hit, identical winner, and its
 	// registry never counts a sweep.
@@ -535,6 +520,53 @@ func TestTuneOnUpload(t *testing.T) {
 	}
 	_ = s
 	_ = s2
+}
+
+// TestTuningLagHostTierOnly: the tuner times host kernels, so only a
+// host-tier SpMV publishes the per-matrix service_tuning_lag_ratio
+// gauge that feeds the health engine's tuning_lag signal; a
+// device-tier SpMV (a simulator replay) leaves it unset.
+func TestTuningLagHostTierOnly(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "tuning.jsonl")
+	_, body := testMatrixBody(t)
+	lag := func(reg *telemetry.Registry) (float64, bool) {
+		for _, mt := range reg.Snapshot() {
+			if mt.Name == "service_tuning_lag_ratio" && mt.Labels["matrix"] == "a" {
+				return mt.Value, true
+			}
+		}
+		return 0, false
+	}
+
+	reg := telemetry.NewRegistry()
+	_, ts := newTestServer(t, Config{Devices: 1, TuningDB: db, Registry: reg})
+	info := upload(t, ts, "a", body)
+	var res SpMVResult
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
+	if res.Tier != "device" {
+		t.Fatalf("tier = %q, want device", res.Tier)
+	}
+	if v, ok := lag(reg); ok {
+		t.Fatalf("device-tier SpMV set service_tuning_lag_ratio = %g", v)
+	}
+
+	// Every device takes an ECC hit on its first launch, as in
+	// TestECCDowngradeBitIdentical, so the SpMV runs on the host tier.
+	reg = telemetry.NewRegistry()
+	_, ts = newTestServer(t, Config{
+		Devices:      1,
+		TuningDB:     db,
+		Registry:     reg,
+		DeviceFaults: func(int) gpu.ECCInjector { return &eccAt{at: 0} },
+	})
+	info = upload(t, ts, "a", body)
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
+	if res.Tier != "host" {
+		t.Fatalf("tier = %q, want host after ECC downgrade", res.Tier)
+	}
+	if v, ok := lag(reg); !ok || v <= 0 {
+		t.Fatalf("host-tier SpMV did not publish service_tuning_lag_ratio (got %g, %v)", v, ok)
+	}
 }
 
 // TestTuningDisabledWithoutDB: the zero Config never tunes — no tuned

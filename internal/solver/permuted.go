@@ -15,8 +15,8 @@ import (
 // and Leave convert vectors between the bases exactly once per solve,
 // the usage §II-A prescribes for Krylov methods. Applications run on
 // the unrolled hostkernel pJDS kernel (bit-identical to
-// MulVecPermuted), so the host path of a solve — including the ECC
-// downgrade path of DevicePJDS — gets the fast zero-alloc loop.
+// MulVecPermuted), so the host path of a solve gets the fast
+// zero-alloc loop.
 type PermutedPJDS struct {
 	P *core.PJDS[float64]
 	// Perm is the symmetric permutation applied (new → old).

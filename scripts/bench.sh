@@ -308,7 +308,7 @@ if [ "$MODE" = pr7 ]; then
         }
         END {
             naive = best["BenchmarkHostNaive"]
-            blocked = best["BenchmarkHostCRS/unroll4"]
+            blocked = best["BenchmarkHostCRS/blocked"]
             if (naive == "" || blocked == "") {
                 print "FAIL: missing naive or blocked benchmark output" > "/dev/stderr"
                 bad = 1

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository health check: vet, build, the full test suite, and a race
+# Repository health check: vet (the root module and the separate
+# perfbench benchmark module), build, the full test suite, and a race
 # run over the concurrency-heavy packages (virtual-time fabric, the
 # MPI-like layer, the distributed spMVM engine, fault plans, the
 # fault-tolerant solver, telemetry, the GPU worker pool — the gpu
@@ -35,6 +36,12 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== go vet =="
 go vet ./...
+
+echo "== go vet (perfbench module) =="
+# perfbench is a module of its own (replace pjds => ../), so the root
+# go build never compiles it; vetting it catches API changes that
+# would break the benchmark.
+(cd perfbench && go vet ./...)
 
 echo "== go build =="
 go build ./...
