@@ -254,15 +254,42 @@ func (p *PJDS[T]) MulVecPermuted(yp, xp []T) error {
 	if len(xp) != p.NCols || len(yp) < p.N {
 		return fmt.Errorf("core: MulVecPermuted |x|=%d |y|=%d on %dx%d: %w", len(xp), len(yp), p.N, p.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < p.N; i++ {
-		var sum T
-		for j := 0; j < int(p.RowLen[i]); j++ {
-			off := int(p.ColStart[j]) + i
-			sum += p.Val[off] * xp[p.ColIdx[off]]
-		}
-		yp[i] = sum
-	}
+	p.MulRows(yp, xp, 0, p.N, false)
 	return nil
+}
+
+// MulRows computes sorted rows [lo, hi) of yp = Ap·xp (yp += Ap·xp
+// when accumulate is set) with the Listing-2 access pattern
+// val[col_start[j]+i], 4 jagged diagonals per iteration. Each row is
+// summed in stored column order, so any partition of the rows gives
+// the same bits. It is the one pJDS body: MulVecPermuted, the host
+// kernel's workers and the simulated device replay all run it.
+func (p *PJDS[T]) MulRows(yp, xp []T, lo, hi int, accumulate bool) {
+	val, idx, cs := p.Val, p.ColIdx, p.ColStart
+	for i := lo; i < hi; i++ {
+		l := int(p.RowLen[i])
+		var sum T
+		j := 0
+		for ; j+4 <= l; j += 4 {
+			o0 := int(cs[j]) + i
+			o1 := int(cs[j+1]) + i
+			o2 := int(cs[j+2]) + i
+			o3 := int(cs[j+3]) + i
+			sum += val[o0] * xp[idx[o0]]
+			sum += val[o1] * xp[idx[o1]]
+			sum += val[o2] * xp[idx[o2]]
+			sum += val[o3] * xp[idx[o3]]
+		}
+		for ; j < l; j++ {
+			off := int(cs[j]) + i
+			sum += val[off] * xp[idx[off]]
+		}
+		if accumulate {
+			yp[i] += sum
+		} else {
+			yp[i] = sum
+		}
+	}
 }
 
 // MulVec computes y = A·x in the original row order, scattering the

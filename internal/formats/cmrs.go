@@ -129,27 +129,42 @@ func (c *CMRS[T]) FootprintBytes() int64 {
 	return int64(c.NnzV)*int64(SizeofElem[T]()+4+1) + int64(len(c.StripPtr))*8
 }
 
-// MulVec implements Format with the sequential reference walk: strip
-// by strip in element order, one accumulator per row. Elements of a
-// row are consecutive in CSR order, so each row's sum accumulates in
-// stored column order — bit-identical to the CRS reference.
+// MulVec implements Format with the sequential reference walk over
+// every strip.
 func (c *CMRS[T]) MulVec(y, x []T) error {
 	if len(x) != c.NCols || len(y) != c.N {
 		return fmt.Errorf("formats: CMRS MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), c.N, c.NCols, matrix.ErrShape)
 	}
-	for i := range y[:c.N] {
-		y[i] = 0
-	}
-	for s := 0; s < c.NStrips; s++ {
+	c.MulStrips(y, x, 0, c.NStrips, false)
+	return nil
+}
+
+// MulStrips computes the rows of strips [lo, hi) of y = A·x (y += A·x
+// when accumulate is set): strip by strip in element order, one
+// accumulator per row. Elements of a row are consecutive in CSR order,
+// so each row's sum accumulates in stored column order — bit-identical
+// to the CRS reference; rows without elements store a zero sum. It is
+// the one CMRS body: MulVec and the simulated device replay both run
+// it.
+func (c *CMRS[T]) MulStrips(y, x []T, lo, hi int, accumulate bool) {
+	for s := lo; s < hi; s++ {
 		base := s * c.Height
+		end := min(base+c.Height, c.N)
+		r := base // next row without a stored sum
 		for e := c.StripPtr[s]; e < c.StripPtr[s+1]; {
-			r := base + int(c.RowInStrip[e])
+			row := base + int(c.RowInStrip[e])
+			for ; r < row; r++ {
+				storeRow(y, r, 0, accumulate)
+			}
 			var sum T
-			for ; e < c.StripPtr[s+1] && base+int(c.RowInStrip[e]) == r; e++ {
+			for ; e < c.StripPtr[s+1] && base+int(c.RowInStrip[e]) == row; e++ {
 				sum += c.Val[e] * x[c.ColIdx[e]]
 			}
-			y[r] = sum
+			storeRow(y, row, sum, accumulate)
+			r = row + 1
+		}
+		for ; r < end; r++ {
+			storeRow(y, r, 0, accumulate)
 		}
 	}
-	return nil
 }

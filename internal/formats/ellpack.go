@@ -108,15 +108,32 @@ func (e *ELLPACK[T]) MulVec(y, x []T) error {
 	if len(x) != e.NCols || len(y) != e.N {
 		return fmt.Errorf("formats: ELLPACK MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < e.N; i++ {
+	e.MulRows(y, x, 0, e.N, false)
+	return nil
+}
+
+// MulRows computes rows [lo, hi) of y = A·x (y += A·x when accumulate
+// is set), each row summed over all MaxRowLen padded slots. It is the
+// one plain-ELLPACK body: MulVec and the simulated device replay both
+// run it.
+func (e *ELLPACK[T]) MulRows(y, x []T, lo, hi int, accumulate bool) {
+	for i := lo; i < hi; i++ {
 		var sum T
 		for j := 0; j < e.MaxRowLen; j++ {
 			at := j*e.NPad + i
 			sum += e.Val[at] * x[e.ColIdx[at]]
 		}
+		storeRow(y, i, sum, accumulate)
+	}
+}
+
+// storeRow commits one row sum: y[i] = sum, or y[i] += sum.
+func storeRow[T matrix.Float](y []T, i int, sum T, accumulate bool) {
+	if accumulate {
+		y[i] += sum
+	} else {
 		y[i] = sum
 	}
-	return nil
 }
 
 // ELLPACKR is the ELLPACK-R variant of Vázquez et al.: identical
@@ -151,13 +168,20 @@ func (e *ELLPACKR[T]) MulVec(y, x []T) error {
 	if len(x) != e.NCols || len(y) != e.N {
 		return fmt.Errorf("formats: ELLPACK-R MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < e.N; i++ {
+	e.MulRows(y, x, 0, e.N, false)
+	return nil
+}
+
+// MulRows computes rows [lo, hi) of y = A·x (y += A·x when accumulate
+// is set), each row stopping at its true length. It is the one
+// ELLPACK-R body: MulVec and the simulated device replay both run it.
+func (e *ELLPACKR[T]) MulRows(y, x []T, lo, hi int, accumulate bool) {
+	for i := lo; i < hi; i++ {
 		var sum T
 		for j := 0; j < int(e.RowLen[i]); j++ {
 			at := j*e.NPad + i
 			sum += e.Val[at] * x[e.ColIdx[at]]
 		}
-		y[i] = sum
+		storeRow(y, i, sum, accumulate)
 	}
-	return nil
 }

@@ -227,7 +227,15 @@ func (s *SlicedELL[T]) MulVecPermuted(yp, xp []T) error {
 	if len(xp) != s.NCols || len(yp) < s.N {
 		return fmt.Errorf("formats: sliced MulVecPermuted |x|=%d |y|=%d on %dx%d: %w", len(xp), len(yp), s.N, s.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < s.N; i++ {
+	s.MulRows(yp, xp, 0, s.N, false)
+	return nil
+}
+
+// MulRows computes stored rows [lo, hi) of yp = Ap·xp (yp += Ap·xp
+// when accumulate is set). It is the one sliced-ELLPACK body:
+// MulVecPermuted and the simulated device replay both run it.
+func (s *SlicedELL[T]) MulRows(yp, xp []T, lo, hi int, accumulate bool) {
+	for i := lo; i < hi; i++ {
 		sl, lane := i/s.C, i%s.C
 		base := s.SliceStart[sl]
 		var sum T
@@ -235,9 +243,8 @@ func (s *SlicedELL[T]) MulVecPermuted(yp, xp []T) error {
 			at := base + int64(j*s.C+lane)
 			sum += s.Val[at] * xp[s.ColIdx[at]]
 		}
-		yp[i] = sum
+		storeRow(yp, i, sum, accumulate)
 	}
-	return nil
 }
 
 // MulVec implements Format in the original basis.

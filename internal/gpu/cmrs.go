@@ -49,7 +49,7 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 		return compilePlan(d, planSource[T]{
 			kernel: c.Name(), rows: c.N, cols: c.NCols, nPad: nPad,
 			nnz: int64(c.NnzV), metaSegs: 1, // strip-pointer load (overridden per warp below)
-			val: c.Val, steps: steps,
+			steps: steps,
 			access: func(i, j int) (int64, int32) {
 				at := c.StripPtr[i/ws] + int64(j*ws+i%ws)
 				return at, c.ColIdx[at]
@@ -72,28 +72,10 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 				elems := c.StripPtr[wbase/ws+1] - c.StripPtr[wbase/ws]
 				return (1 + (elems+segBytes-1)/segBytes) * segBytes
 			},
-			mul: func(sum, y, x []T, wbase int, accumulate bool) {
-				s := wbase / ws
-				base := s * c.Height
-				rows := c.Height
-				if base+rows > c.N {
-					rows = c.N - base
-				}
-				acc := sum[:rows]
-				for r := range acc {
-					acc[r] = 0
-				}
-				for e := c.StripPtr[s]; e < c.StripPtr[s+1]; e++ {
-					acc[c.RowInStrip[e]] += c.Val[e] * x[c.ColIdx[e]]
-				}
-				storeResult(y, acc, base, c.N, accumulate)
-			},
+			mulRows:  func(y, x []T, lo, hi int, acc bool) { c.MulStrips(y, x, lo/ws, hi/ws, acc) },
+			stored:   c.StoredElems(),
+			geometry: []telemetry.Label{telemetry.Li("height", c.Height)},
 		})
 	})
-	st := p.run(d, y, x, opt)
-	publishFormatGeometry(opt.Metrics, c.StoredElems(), int64(c.NnzV),
-		telemetry.L("kernel", c.Name()),
-		telemetry.L("device", d.Name),
-		telemetry.Li("height", c.Height))
-	return st, nil
+	return p.run(d, y, x, opt), nil
 }

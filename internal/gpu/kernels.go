@@ -62,11 +62,12 @@ func RunELLPACK[T matrix.Float](d *Device, e *formats.ELLPACK[T], y, x []T, opt 
 		return compilePlan(d, planSource[T]{
 			kernel: "ELLPACK", rows: e.N, cols: e.NCols, nPad: e.NPad,
 			nnz: int64(e.NnzV), metaSegs: 0,
-			val: e.Val, steps: steps,
+			steps: steps,
 			access: func(i, j int) (int64, int32) {
 				at := j*e.NPad + i
 				return int64(at), e.ColIdx[at]
 			},
+			mulRows: func(y, x []T, lo, hi int, acc bool) { e.MulRows(y, x, lo, min(hi, e.N), acc) },
 		})
 	})
 	return p.run(d, y, x, opt), nil
@@ -90,11 +91,12 @@ func RunELLPACKR[T matrix.Float](d *Device, e *formats.ELLPACKR[T], y, x []T, op
 		return compilePlan(d, planSource[T]{
 			kernel: "ELLPACK-R", rows: e.N, cols: e.NCols, nPad: e.NPad,
 			nnz: int64(e.NnzV), metaSegs: 1, // the rowmax[] load: one coalesced segment per warp
-			val: e.Val, steps: e.RowLen,
+			steps: e.RowLen,
 			access: func(i, j int) (int64, int32) {
 				at := j*e.NPad + i
 				return int64(at), e.ColIdx[at]
 			},
+			mulRows: func(y, x []T, lo, hi int, acc bool) { e.MulRows(y, x, lo, min(hi, e.N), acc) },
 		})
 	})
 	return p.run(d, y, x, opt), nil
@@ -119,11 +121,12 @@ func RunPJDS[T matrix.Float](d *Device, p *core.PJDS[T], yp, xp []T, opt RunOpti
 		return compilePlan(d, planSource[T]{
 			kernel: p.Name(), rows: p.N, cols: p.NCols, nPad: p.NPad,
 			nnz: int64(p.Nnz), metaSegs: 1, // rowmax[] load; col_start[] assumed cached (§II-B)
-			val: p.Val, steps: p.RowLen,
+			steps: p.RowLen,
 			access: func(i, j int) (int64, int32) {
 				at := int(p.ColStart[j]) + i
 				return int64(at), p.ColIdx[at]
 			},
+			mulRows: func(y, x []T, lo, hi int, acc bool) { p.MulRows(y, x, lo, min(hi, p.N), acc) },
 		})
 	})
 	return pl.run(d, yp, xp, opt), nil
@@ -148,42 +151,32 @@ func RunSlicedELL[T matrix.Float](d *Device, s *formats.SlicedELL[T], yp, xp []T
 		return compilePlan(d, planSource[T]{
 			kernel: s.Name(), rows: s.N, cols: s.NCols, nPad: s.NPad,
 			nnz: int64(s.NonZeros()), metaSegs: 2, // rowLen + slice offset/length metadata
-			val: s.Val, steps: s.RowLen,
+			steps: s.RowLen,
 			access: func(i, j int) (int64, int32) {
 				sl, slLane := i/s.C, i%s.C
 				at := s.SliceStart[sl] + int64(j*s.C+slLane)
 				return at, s.ColIdx[at]
 			},
+			mulRows: func(y, x []T, lo, hi int, acc bool) { s.MulRows(y, x, lo, min(hi, s.N), acc) },
+			stored:  s.StoredElems(),
+			geometry: []telemetry.Label{
+				telemetry.L("format", s.SELLName()),
+				telemetry.Li("c", s.C),
+				telemetry.Li("sigma", s.SortWindow),
+			},
 		})
 	})
-	st := p.run(d, yp, xp, opt)
-	publishFormatGeometry(opt.Metrics, s.StoredElems(), int64(s.NonZeros()),
-		telemetry.L("kernel", s.Name()),
-		telemetry.L("device", d.Name),
-		telemetry.L("format", s.SELLName()),
-		telemetry.Li("c", s.C),
-		telemetry.Li("sigma", s.SortWindow))
-	return st, nil
-}
-
-// lhsSegments counts the distinct result-vector segments rows [lo, hi)
-// touch; the plan stores the count so the accumulate-dependent byte
-// doubling can be applied at replay time.
-func lhsSegments(segs *segCounter, lo, hi, es int, segShift uint) int64 {
-	if hi <= lo {
-		return 0
-	}
-	segs.reset()
-	for i := lo; i < hi; i++ {
-		segs.add(addrLHS+int64(i)*int64(es), segShift)
-	}
-	return int64(len(segs.segs))
+	return p.run(d, yp, xp, opt), nil
 }
 
 // lhsBytes counts the result-vector traffic for rows [lo, hi): one
 // store (and one load when accumulating) per touched segment.
 func lhsBytes(segs *segCounter, lo, hi, es int, segShift uint, segBytes int64, accumulate bool) int64 {
-	b := lhsSegments(segs, lo, hi, es, segShift) * segBytes
+	segs.reset()
+	for i := lo; i < hi; i++ {
+		segs.add(addrLHS+int64(i)*int64(es), segShift)
+	}
+	b := int64(len(segs.segs)) * segBytes
 	if accumulate {
 		b *= 2
 	}

@@ -10,6 +10,7 @@ import (
 	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/profiles"
+	"pjds/internal/telemetry"
 )
 
 // defaultWorkers holds the package-wide worker-count default applied
@@ -31,11 +32,10 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// planSource describes one storage format's warp-level access pattern
-// to the shared plan compiler and replay loop. The four kernels of
-// kernels.go differ only in these fields; everything else — coalescing
-// analysis, L2 simulation, divergence accounting, the numeric warp
-// loop and the worker pool — is shared.
+// planSource describes one storage format to the shared plan compiler
+// and replay loop. The kernels differ only in these fields; everything
+// else — coalescing analysis, L2 simulation, divergence accounting and
+// the worker pool — is shared.
 type planSource[T matrix.Float] struct {
 	kernel           string
 	rows, cols, nPad int
@@ -44,61 +44,52 @@ type planSource[T matrix.Float] struct {
 	// lengths, slice offsets) every warp loads: 0 for plain ELLPACK,
 	// 1 for ELLPACK-R and pJDS, 2 for sliced ELLPACK.
 	metaSegs int64
-	// val backs the numeric replay; access locates element (i, j) in
-	// it and returns its column index. steps[i] is the number of SIMT
-	// steps padded row i executes (its true row length, or the global
-	// maximum for plain ELLPACK, which computes on padding).
-	val    []T
+	// steps[i] is the number of SIMT steps lane i executes (its true
+	// row length, or the global maximum for plain ELLPACK, which
+	// computes on padding); access locates lane i's step-j element and
+	// returns its storage offset and column index. The compiler alone
+	// uses them.
 	steps  []int32
 	access func(i, j int) (at int64, c int32)
+	// mulRows is the layout's numeric body over lanes [lo, hi): lo is
+	// warp-aligned, hi is warp-aligned or nPad. It must write only the
+	// result rows those warps own (the parallel-replay contract) and
+	// sum each row in stored column order (the bit-identity contract).
+	mulRows func(y, x []T, lo, hi int, accumulate bool)
 
 	// The optional hooks below cover element-parallel kernels (CMRS)
-	// whose warps do not map one lane to one row. All three default to
-	// the row-parallel behaviour when nil.
+	// whose warps do not map one lane to one row; nil selects the
+	// row-parallel behaviour.
 	//
-	// mul replaces the default per-lane dot-product executor for one
-	// warp; sum is a warpSize-long scratch buffer. Implementations must
-	// keep warps writing disjoint y rows (the parallel-replay contract)
-	// and accumulate each row in stored column order (the bit-identity
-	// contract).
-	mul func(sum, y, x []T, wbase int, accumulate bool)
 	// lhsRows reports the result rows warp [wbase, wbase+lanes) writes;
 	// nil means rows wbase..wbase+lanes clipped to rows.
 	lhsRows func(wbase, lanes int) (lo, hi int)
 	// metaBytes reports the warp's metadata traffic; nil charges the
 	// flat metaSegs coalesced segments.
 	metaBytes func(wbase, lanes int) int64
-}
-
-// warpPlan is the compiled schedule of one warp: its geometry plus
-// every transaction-level counter the simulator would derive for it.
-// All fields depend only on matrix structure and device geometry, so
-// they are computed once at compile time — including the RHS L2
-// misses, which the compiler resolves by replaying the gather stream
-// through the cache model in sequential warp order. Replays therefore
-// never touch the (order-dependent) cache simulator, which is what
-// makes parallel execution bit-exact.
-type warpPlan struct {
-	wbase, lanes, maxLen int
-	laneSteps            int64
-	bytesVal, bytesIdx   int64
-	bytesRHS, metaBytes  int64
-	lhsSegs              int64 // result-vector segments (doubled when accumulating)
-	rhsProbes, rhsMisses int64
+	// geometry labels a parameterized chunked format's layout-quality
+	// gauges (publishFormatGeometry over stored slots); nil publishes
+	// none.
+	stored   int64
+	geometry []telemetry.Label
 }
 
 // Plan is the compiled execution schedule of one (matrix, format,
-// device-geometry) pair: per-warp lane counts, step bounds, stream
-// segment totals and the pre-resolved RHS descriptor outcomes. Run*
-// calls replay it — numeric work plus counter addition — instead of
-// re-deriving the geometry every iteration. Plans are immutable after
-// compilation and safe for concurrent replay.
+// device-geometry) pair. Every transaction-level counter depends only
+// on matrix structure and device geometry, so the compiler folds them
+// into plan-level totals — including the RHS L2 misses, which it
+// resolves by replaying the gather stream through the cache model in
+// sequential warp order. A Run* call replays the plan: the layout's
+// row body plus a copy of the totals, never the (order-dependent)
+// cache simulator, which is what makes parallel execution bit-exact.
+// Plans are immutable after compilation and safe for concurrent
+// replay.
 type Plan[T matrix.Float] struct {
-	src       planSource[T]
-	elemBytes int
-	warpSize  int
-	segBytes  int64
-	warps     []warpPlan
+	src      planSource[T]
+	warpSize int
+	// stats holds the raw counters of one non-accumulating run; its
+	// BytesLHS is the store traffic, which accumulation doubles.
+	stats KernelStats
 	// labels is the prebuilt pprof label context replay workers adopt
 	// at spawn (phase=gpu, kernel=...): built once at compile time so
 	// labeling a fresh goroutine costs no allocation at replay time.
@@ -109,7 +100,7 @@ type Plan[T matrix.Float] struct {
 func (p *Plan[T]) Kernel() string { return p.src.kernel }
 
 // Warps returns the number of warps the plan schedules.
-func (p *Plan[T]) Warps() int { return len(p.warps) }
+func (p *Plan[T]) Warps() int { return p.stats.Warps }
 
 // compilePlan runs the full transaction-level analysis once: warp
 // geometry, val/idx coalescing, the LHS segment count, and the RHS
@@ -125,30 +116,30 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
 
 	p := &Plan[T]{
-		src:       src,
-		elemBytes: es,
-		warpSize:  ws,
-		segBytes:  segBytes,
-		warps:     make([]warpPlan, 0, (src.nPad+ws-1)/ws),
-		labels:    profiles.Ctx(profiles.PhaseGPU, "kernel", src.kernel),
+		src:      src,
+		warpSize: ws,
+		labels:   profiles.Ctx(profiles.PhaseGPU, "kernel", src.kernel),
+	}
+	st := &p.stats
+	*st = KernelStats{
+		Kernel: src.kernel, Rows: src.rows, Nnz: src.nnz,
+		UsefulFlops: 2 * src.nnz, ElemBytes: es,
 	}
 	for wbase := 0; wbase < src.nPad; wbase += ws {
-		lanes := ws
-		if wbase+lanes > src.nPad {
-			lanes = src.nPad - wbase
-		}
+		lanes := min(ws, src.nPad-wbase)
 		maxLen := 0
 		for lane := 0; lane < lanes; lane++ {
-			if l := int(src.steps[wbase+lane]); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, int(src.steps[wbase+lane]))
 		}
-		wp := warpPlan{
-			wbase: wbase, lanes: lanes, maxLen: maxLen,
-			metaBytes: src.metaSegs * segBytes,
+		st.Warps++
+		if maxLen > 0 {
+			st.ActiveWarps++
 		}
+		st.WarpSteps += int64(maxLen)
 		if src.metaBytes != nil {
-			wp.metaBytes = src.metaBytes(wbase, lanes)
+			st.BytesMeta += src.metaBytes(wbase, lanes)
+		} else {
+			st.BytesMeta += src.metaSegs * segBytes
 		}
 		for j := 0; j < maxLen; j++ {
 			valSegs.reset()
@@ -160,18 +151,18 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 					continue // lane idle: reserved but useless (light boxes of Fig. 2b)
 				}
 				at, c := src.access(i, j)
-				wp.laneSteps++
+				st.ExecutedLaneSteps++
 				valSegs.add(addrVal+at*int64(es), segShift)
 				idxSegs.add(addrIdx+at*4, segShift)
 				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
 			}
-			wp.bytesVal += int64(len(valSegs.segs)) * segBytes
-			wp.bytesIdx += int64(len(idxSegs.segs)) * segBytes
+			st.BytesVal += int64(len(valSegs.segs)) * segBytes
+			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
 			for _, sec := range rhsSegs.segs {
-				wp.rhsProbes++
+				st.RHSProbes++
 				if !l2.probe(sec << secShift) {
-					wp.rhsMisses++
-					wp.bytesRHS += secBytes
+					st.RHSMisses++
+					st.BytesRHS += secBytes
 				}
 			}
 		}
@@ -179,149 +170,64 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 		if src.lhsRows != nil {
 			lhsLo, lhsHi = src.lhsRows(wbase, lanes)
 		}
-		wp.lhsSegs = lhsSegments(&lhsSegs, lhsLo, lhsHi, es, segShift)
-		p.warps = append(p.warps, wp)
+		st.BytesLHS += lhsBytes(&lhsSegs, lhsLo, lhsHi, es, segShift, segBytes, false)
 	}
 	return p
 }
 
-// mulWarp executes one warp's arithmetic: per-lane dot-product partial
-// sums in ascending step order (the same order as the sequential
-// simulator, so results are bit-exact for any schedule), committed to
-// the rows the warp owns. Warps own disjoint row ranges, so concurrent
-// calls never write the same element.
-func (p *Plan[T]) mulWarp(wp *warpPlan, sum, y, x []T, accumulate bool) {
-	if p.src.mul != nil {
-		p.src.mul(sum, y, x, wp.wbase, accumulate)
-		return
-	}
-	steps, access, val := p.src.steps, p.src.access, p.src.val
-	sum = sum[:wp.lanes]
-	for l := range sum {
-		sum[l] = 0
-	}
-	for j := 0; j < wp.maxLen; j++ {
-		for lane := 0; lane < wp.lanes; lane++ {
-			i := wp.wbase + lane
-			if j >= int(steps[i]) {
-				continue
-			}
-			at, c := access(i, j)
-			sum[lane] += val[at] * x[c]
-		}
-	}
-	storeResult(y, sum, wp.wbase, p.src.rows, accumulate)
-}
-
-// addWarp accumulates one compiled warp's counters into s.
-func (s *KernelStats) addWarp(wp *warpPlan, segBytes int64, accumulate bool) {
-	s.Warps++
-	if wp.maxLen > 0 {
-		s.ActiveWarps++
-	}
-	s.WarpSteps += int64(wp.maxLen)
-	s.ExecutedLaneSteps += wp.laneSteps
-	s.BytesVal += wp.bytesVal
-	s.BytesIdx += wp.bytesIdx
-	s.BytesRHS += wp.bytesRHS
-	lhs := wp.lhsSegs * segBytes
-	if accumulate {
-		lhs *= 2
-	}
-	s.BytesLHS += lhs
-	s.BytesMeta += wp.metaBytes
-	s.RHSProbes += wp.rhsProbes
-	s.RHSMisses += wp.rhsMisses
-}
-
-// mergeShard folds one worker's counter shard into s. Every field is
-// an integer sum over warps, so the merge is exact and independent of
-// the schedule; shards are still merged in fixed worker order so the
-// reduction is deterministic by construction, not by argument.
-func (s *KernelStats) mergeShard(o *KernelStats) {
-	s.Warps += o.Warps
-	s.ActiveWarps += o.ActiveWarps
-	s.WarpSteps += o.WarpSteps
-	s.ExecutedLaneSteps += o.ExecutedLaneSteps
-	s.BytesVal += o.BytesVal
-	s.BytesIdx += o.BytesIdx
-	s.BytesRHS += o.BytesRHS
-	s.BytesLHS += o.BytesLHS
-	s.BytesMeta += o.BytesMeta
-	s.RHSProbes += o.RHSProbes
-	s.RHSMisses += o.RHSMisses
-}
-
-// run replays the plan: numeric warp execution (sequential or on a
-// worker pool) plus per-warp counter accumulation, then the derived
-// timing on the actual device (which may differ from the compile
-// device in bandwidth-only fields such as the ECC mode).
+// run replays the plan: the layout's row body (sequential, or over
+// warp-aligned lane ranges on a worker pool), a copy of the compiled
+// totals, then the derived timing on the actual device (which may
+// differ from the compile device in bandwidth-only fields such as the
+// ECC mode).
 func (p *Plan[T]) run(d *Device, y, x []T, opt RunOptions) *KernelStats {
-	st := &KernelStats{
-		Kernel: p.src.kernel, Rows: p.src.rows, Nnz: p.src.nnz,
-		UsefulFlops: 2 * p.src.nnz, ElemBytes: p.elemBytes,
-	}
+	warps := p.stats.Warps
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(p.warps) {
-		workers = len(p.warps)
-	}
-	if workers <= 1 {
-		sum := make([]T, p.warpSize)
-		for i := range p.warps {
-			wp := &p.warps[i]
-			p.mulWarp(wp, sum, y, x, opt.Accumulate)
-			st.addWarp(wp, p.segBytes, opt.Accumulate)
-		}
+	if workers <= 1 || warps <= 1 {
+		p.src.mulRows(y, x, 0, p.src.nPad, opt.Accumulate)
 	} else {
 		// Chunked self-scheduling: workers claim fixed-size runs of
 		// consecutive warps from an atomic cursor. The assignment of
-		// warps to workers is racy, but no output depends on it: y
-		// rows are disjoint and the shards merge exactly.
-		chunk := len(p.warps) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
-		shards := make([]KernelStats, workers)
+		// warps to workers is racy, but no output depends on it: warps
+		// own disjoint y rows and the counters were folded at compile
+		// time.
+		workers = min(workers, warps)
+		chunk := min(max(warps/(workers*4), 1), 256)
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(sh *KernelStats) {
+			go func() {
 				defer wg.Done()
 				// Fresh goroutine: adopt the plan's phase=gpu labels
 				// for its whole (short) life. Prebuilt context, so
 				// this allocates nothing per replay.
 				pprof.SetGoroutineLabels(p.labels)
-				sum := make([]T, p.warpSize)
 				for {
 					hi := int(cursor.Add(int64(chunk)))
 					lo := hi - chunk
-					if lo >= len(p.warps) {
+					if lo >= warps {
 						return
 					}
-					if hi > len(p.warps) {
-						hi = len(p.warps)
-					}
-					for i := lo; i < hi; i++ {
-						wp := &p.warps[i]
-						p.mulWarp(wp, sum, y, x, opt.Accumulate)
-						sh.addWarp(wp, p.segBytes, opt.Accumulate)
-					}
+					p.src.mulRows(y, x, lo*p.warpSize, min(hi*p.warpSize, p.src.nPad), opt.Accumulate)
 				}
-			}(&shards[w])
+			}()
 		}
 		wg.Wait()
-		for w := range shards {
-			st.mergeShard(&shards[w])
-		}
+	}
+	st := p.stats
+	if opt.Accumulate {
+		st.BytesLHS *= 2
 	}
 	st.finish(d, p.warpSize)
 	st.Publish(opt.Metrics, opt.MetricLabels...)
-	return st
+	if p.src.geometry != nil {
+		var buf [8]telemetry.Label
+		publishFormatGeometry(opt.Metrics, p.src.stored, p.src.nnz,
+			append(append(buf[:0], telemetry.L("kernel", st.Kernel), telemetry.L("device", d.Name)), p.src.geometry...)...)
+	}
+	return &st
 }

@@ -56,6 +56,7 @@ func benchWorkers(b *testing.B, rows int, run func(y []float64, opt gpu.RunOptio
 			if err := run(y, opt); err != nil { // warm the plan cache
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := run(y, opt); err != nil {
@@ -101,7 +102,7 @@ func BenchmarkRunELLPACKR(b *testing.B) {
 // "compile" variant pays the full coalescing/L2 analysis every
 // iteration (a cold cache, the pre-plan behaviour of every Run* call),
 // while "replay" reuses the compiled plan and does only the numeric
-// work plus counter merges.
+// work plus a copy of the compiled counter totals.
 func BenchmarkPlanCompile(b *testing.B) {
 	m := largestTable1(b)
 	p, err := core.NewPJDS(m, core.Options{})
@@ -114,6 +115,7 @@ func BenchmarkPlanCompile(b *testing.B) {
 	b.Run("compile", func(b *testing.B) {
 		pc := gpu.NewPlanCache(0)
 		opt := gpu.RunOptions{Workers: 1, Plans: pc, Metrics: telemetry.NewRegistry()}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pc.Reset() // force a cold cache: every run compiles
@@ -127,6 +129,7 @@ func BenchmarkPlanCompile(b *testing.B) {
 		if _, err := gpu.RunPJDS(d, p, y, x, opt); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := gpu.RunPJDS(d, p, y, x, opt); err != nil {

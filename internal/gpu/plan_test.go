@@ -349,11 +349,12 @@ func TestPlanAccessors(t *testing.T) {
 	d := TeslaC2070()
 	src := planSource[float64]{
 		kernel: "ELLPACK-R", rows: ellr.N, cols: ellr.NCols, nPad: ellr.NPad,
-		nnz: int64(ellr.NnzV), metaSegs: 1, val: ellr.Val, steps: ellr.RowLen,
+		nnz: int64(ellr.NnzV), metaSegs: 1, steps: ellr.RowLen,
 		access: func(i, j int) (int64, int32) {
 			at := j*ellr.NPad + i
 			return int64(at), ellr.ColIdx[at]
 		},
+		mulRows: func(y, x []float64, lo, hi int, acc bool) { ellr.MulRows(y, x, lo, min(hi, ellr.N), acc) },
 	}
 	p := compilePlan(d, src)
 	if p.Kernel() != "ELLPACK-R" {
@@ -361,5 +362,53 @@ func TestPlanAccessors(t *testing.T) {
 	}
 	if want := (ellr.NPad + d.WarpSize - 1) / d.WarpSize; p.Warps() != want {
 		t.Errorf("Warps() = %d, want %d", p.Warps(), want)
+	}
+}
+
+// TestReplayAllocs gates the cached-plan replay path: a warmed
+// RunPJDS, RunSlicedELL or RunELLPACKR publishing into a registry
+// with extra metric labels allocates only the *KernelStats it returns
+// (scripts/check.sh stresses this with -count 20 -cpu 1,2,4).
+func TestReplayAllocs(t *testing.T) {
+	const n = 301
+	m := bandedCSR(n, 1, 40, 21)
+	x := randVec(n, 22)
+	y := make([]float64, n)
+	p, err := formats.NewPJDS(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := formats.NewSlicedELL(m, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ellr := formats.NewELLPACKR(m)
+	d := TeslaC2070()
+	opt := RunOptions{
+		Workers:      1,
+		Plans:        NewPlanCache(0),
+		Metrics:      telemetry.NewRegistry(),
+		MetricLabels: []telemetry.Label{telemetry.Li("rank", 2), telemetry.L("phase", "local")},
+	}
+	for name, run := range map[string]func() error{
+		"pJDS":      func() error { _, err := RunPJDS(d, p, y, x, opt); return err },
+		"SELL":      func() error { _, err := RunSlicedELL(d, s, y, x, opt); return err },
+		"ELLPACK-R": func() error { _, err := RunELLPACKR(d, ellr, y, x, opt); return err },
+	} {
+		if err := run(); err != nil { // compile the plan, create every series
+			t.Fatal(err)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := run(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if allocs > 1 {
+			t.Errorf("%s replay: %v allocs/op, want <= 1 (the returned *KernelStats)", name, allocs)
+		}
 	}
 }

@@ -76,8 +76,9 @@ type PlanCache struct {
 }
 
 // DefaultPlanCacheSize bounds the package-default cache; each entry
-// holds per-warp counters (~100 B/warp), so the bound exists to cap
-// pathological churn, not memory pressure in normal runs.
+// holds one set of compiled counter totals plus references to its
+// format's arrays, so the bound exists to cap pathological churn, not
+// memory pressure in normal runs.
 const DefaultPlanCacheSize = 128
 
 // NewPlanCache returns a cache holding at most max plans (max ≤ 0
@@ -185,10 +186,8 @@ func publishLookup(reg *telemetry.Registry, kernel string, d *Device, hit bool, 
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	lbl := append([]telemetry.Label{
-		telemetry.L("kernel", kernel),
-		telemetry.L("device", d.Name),
-	}, extra...)
+	var buf [8]telemetry.Label
+	lbl := append(append(buf[:0], telemetry.L("kernel", kernel), telemetry.L("device", d.Name)), extra...)
 	reg.Help("gpu_plan_cache_hits_total", "kernel-plan cache lookups served from cache")
 	reg.Help("gpu_plan_cache_misses_total", "kernel-plan cache lookups that compiled a new plan")
 	if hit {
@@ -218,7 +217,7 @@ func planFor[T matrix.Float](opt RunOptions, d *Device, kernel string, src any, 
 		p := build()
 		pc.compileNanos.Add(time.Since(t0).Nanoseconds())
 		pc.compiles.Add(1)
-		pc.compiledWarps.Add(int64(len(p.warps)))
+		pc.compiledWarps.Add(int64(p.Warps()))
 		e.plan = p
 	})
 	p := e.plan.(*Plan[T])
@@ -231,6 +230,6 @@ func planFor[T matrix.Float](opt RunOptions, d *Device, kernel string, src any, 
 	} else {
 		pc.misses.Add(1)
 	}
-	publishLookup(opt.Metrics, kernel, d, hit, int64(len(p.warps)), opt.MetricLabels)
+	publishLookup(opt.Metrics, kernel, d, hit, int64(p.Warps()), opt.MetricLabels)
 	return p
 }

@@ -14,10 +14,10 @@ func (s *KernelStats) Publish(reg *telemetry.Registry, extra ...telemetry.Label)
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	lbl := append([]telemetry.Label{
-		telemetry.L("kernel", s.Kernel),
-		telemetry.L("device", s.Device),
-	}, extra...)
+	// Label sets are assembled in stack buffers: with a registry that
+	// already holds every series, publishing allocates nothing.
+	var buf, sbuf [8]telemetry.Label
+	lbl := append(append(buf[:0], telemetry.L("kernel", s.Kernel), telemetry.L("device", s.Device)), extra...)
 
 	reg.Help("gpu_kernel_runs_total", "simulated kernel executions")
 	reg.Counter("gpu_kernel_runs_total", lbl...).Inc()
@@ -43,7 +43,7 @@ func (s *KernelStats) Publish(reg *telemetry.Registry, extra ...telemetry.Label)
 	reg.Counter("gpu_kernel_seconds_total", lbl...).Add(s.KernelSeconds)
 
 	reg.Help("gpu_kernel_bytes_total", "device-memory traffic by stream")
-	for _, st := range []struct {
+	for _, st := range [...]struct {
 		stream string
 		bytes  int64
 	}{
@@ -53,7 +53,7 @@ func (s *KernelStats) Publish(reg *telemetry.Registry, extra ...telemetry.Label)
 		{"lhs", s.BytesLHS},
 		{"meta", s.BytesMeta},
 	} {
-		reg.Counter("gpu_kernel_bytes_total", append([]telemetry.Label{telemetry.L("stream", st.stream)}, lbl...)...).
+		reg.Counter("gpu_kernel_bytes_total", append(append(sbuf[:0], telemetry.L("stream", st.stream)), lbl...)...).
 			Add(float64(st.bytes))
 	}
 

@@ -12,11 +12,10 @@ import (
 
 // PJDSKernel is the parallel, unrolled host kernel over a pJDS
 // layout. It is the host execution engine of the solver's permuted
-// operator (and therefore of the ECC-downgrade path): it computes in
-// the pJDS-permuted basis exactly like core.PJDS.MulVecPermuted —
-// same per-row stored-column summation order, so bit-identical — but
-// with rows statically partitioned into nnz-balanced worker chunks
-// and the jagged-diagonal loop unrolled 4-wide.
+// operator (and therefore of the ECC-downgrade path): it runs
+// core.PJDS.MulRows — the same body as MulVecPermuted and the
+// simulated device, so bit-identical — over rows statically
+// partitioned into nnz-balanced worker chunks.
 type PJDSKernel struct {
 	p      *core.PJDS[float64]
 	bounds []int
@@ -90,36 +89,10 @@ func (k *PJDSKernel) apply(yp, xp []float64, add bool) error {
 	return nil
 }
 
-// run executes worker w's sorted-row chunk with the Listing-2 access
-// pattern (val[col_start[j]+i]), 4 jagged diagonals per iteration.
+// run executes worker w's sorted-row chunk with the shared pJDS row
+// body.
 func (k *PJDSKernel) run(w int) {
-	lo, hi := k.bounds[w], k.bounds[w+1]
-	p, x, y := k.p, k.x, k.y
-	val, idx, cs := p.Val, p.ColIdx, p.ColStart
-	for i := lo; i < hi; i++ {
-		l := int(p.RowLen[i])
-		var sum float64
-		j := 0
-		for ; j+4 <= l; j += 4 {
-			o0 := int(cs[j]) + i
-			o1 := int(cs[j+1]) + i
-			o2 := int(cs[j+2]) + i
-			o3 := int(cs[j+3]) + i
-			sum += val[o0] * x[idx[o0]]
-			sum += val[o1] * x[idx[o1]]
-			sum += val[o2] * x[idx[o2]]
-			sum += val[o3] * x[idx[o3]]
-		}
-		for ; j < l; j++ {
-			off := int(cs[j]) + i
-			sum += val[off] * x[idx[off]]
-		}
-		if k.add {
-			y[i] += sum
-		} else {
-			y[i] = sum
-		}
-	}
+	k.p.MulRows(k.y, k.x, k.bounds[w], k.bounds[w+1], k.add)
 }
 
 // Close implements Kernel: releases the worker pool.

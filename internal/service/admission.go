@@ -138,7 +138,10 @@ type latRing struct {
 
 const latRingSize = 4096
 
-func newLatRing() *latRing { return &latRing{buf: make([]float64, 0, latRingSize)} }
+// newLatRing returns an empty ring. buf grows by append up to
+// latRingSize, so each of the many tenant rings holds memory in
+// proportion to its traffic rather than a full window up front.
+func newLatRing() *latRing { return &latRing{} }
 
 // observe records one request latency in seconds.
 func (r *latRing) observe(sec float64) {

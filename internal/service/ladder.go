@@ -7,6 +7,7 @@ import (
 	"pjds/internal/flight"
 	"pjds/internal/gpu"
 	"pjds/internal/health"
+	"pjds/internal/telemetry"
 )
 
 // Tier is one rung of the degradation ladder. The service walks down
@@ -48,7 +49,8 @@ func (t Tier) String() string {
 type device struct {
 	id      int
 	dev     *gpu.Device
-	inj     gpu.ECCInjector // nil = healthy board
+	labels  []telemetry.Label // the board's metric labels, built once
+	inj     gpu.ECCInjector   // nil = healthy board
 	lost    atomic.Bool
 	applies atomic.Int64
 }

@@ -127,13 +127,32 @@ type MatrixInfo struct {
 
 // matrixEntry is one stored matrix: the pJDS-permuted operator shared
 // by every tenant, plus a freelist of host kernels (a PJDSKernel
-// carries per-call state, so concurrent requests must not share one).
+// carries per-call state, so concurrent requests must not share one)
+// and a pool of permuted-basis vector pairs. The pool is a sync.Pool
+// rather than a freelist so an idle matrix gives its vectors back to
+// the collector instead of pinning one pair per past concurrent
+// request.
 type matrixEntry struct {
 	info  MatrixInfo
 	op    *solver.PermutedPJDS
 	tuned *tuner.Entry // nil unless Config.TuningDB tuned this matrix
 	kmu   sync.Mutex
 	ks    []*hostkernel.PJDSKernel
+	vecs  sync.Pool // of *permVecs
+}
+
+// permVecs is one request's pair of permuted-basis vectors: x and y
+// of an SpMV, b and the iterate of a solve.
+type permVecs struct{ in, out []float64 }
+
+// takeVecs returns a pooled vector pair of the matrix dimension (the
+// contents are the last request's; callers overwrite or clear them).
+func (e *matrixEntry) takeVecs() *permVecs {
+	if v, ok := e.vecs.Get().(*permVecs); ok {
+		return v
+	}
+	n := e.info.Rows
+	return &permVecs{in: make([]float64, n), out: make([]float64, n)}
 }
 
 // kernel takes a host kernel from the freelist, building one when the
@@ -239,7 +258,8 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	s.devPool = make(chan *device, cfg.Devices)
 	for i := 0; i < cfg.Devices; i++ {
-		d := &device{id: i, dev: cfg.Device}
+		// rank = device: per-board rows on the dashboards.
+		d := &device{id: i, dev: cfg.Device, labels: []telemetry.Label{telemetry.Li("rank", i)}}
 		if cfg.DeviceFaults != nil {
 			d.inj = cfg.DeviceFaults(i)
 		}
@@ -458,13 +478,11 @@ func (o *applyOp) Apply(yp, xp []float64) error {
 	}
 	if o.d != nil && !o.d.lost.Load() {
 		_, err := gpu.RunPJDS(o.d.dev, o.e.op.P, yp, xp, gpu.RunOptions{
-			Workers: 1,
-			Plans:   o.s.plans,
-			Metrics: o.s.reg,
-			MetricLabels: []telemetry.Label{
-				telemetry.Li("rank", o.d.id), // rank = device: per-board rows on the dashboards
-			},
-			Faults: o.d.inj,
+			Workers:      1,
+			Plans:        o.s.plans,
+			Metrics:      o.s.reg,
+			MetricLabels: o.d.labels,
+			Faults:       o.d.inj,
 		})
 		if err == nil {
 			o.d.applies.Add(1)
@@ -527,8 +545,12 @@ func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, wantY bo
 	}
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	xp := e.op.Enter(make([]float64, n), x)
-	yp := make([]float64, n)
+	// Only the original-basis result is a fresh allocation: it outlives
+	// the request (res.Y). Apply overwrites every row of yp.
+	v := e.takeVecs()
+	defer e.vecs.Put(v)
+	xp := e.op.Enter(v.in, x)
+	yp := v.out
 	t0 := time.Now()
 	if err := op.Apply(yp, xp); err != nil {
 		return SpMVResult{}, err
@@ -575,8 +597,11 @@ func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, tol flo
 	}
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	bp := e.op.Enter(make([]float64, n), b)
-	xp := make([]float64, n)
+	v := e.takeVecs()
+	defer e.vecs.Put(v)
+	bp := e.op.Enter(v.in, b)
+	xp := v.out
+	clear(xp) // CG starts from x0 = 0
 	cg, err := solver.CG(op, xp, bp, tol, maxIter)
 	x := e.op.Leave(make([]float64, n), xp)
 	res := SolveResult{

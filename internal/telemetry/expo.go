@@ -120,38 +120,41 @@ func (r *Registry) Snapshot() []Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Series
-	for key, c := range r.counters {
-		name := key[:len(key)-len(canonical(c.labels))]
-		out = append(out, Series{
-			Name: name, Type: "counter",
-			Labels: labelMap(c.labels), Value: c.Value(),
-			canon: canonical(c.labels),
-		})
-	}
-	for key, g := range r.gauges {
-		name := key[:len(key)-len(canonical(g.labels))]
-		out = append(out, Series{
-			Name: name, Type: "gauge",
-			Labels: labelMap(g.labels), Value: g.Value(),
-			canon: canonical(g.labels),
-		})
-	}
-	for key, h := range r.hists {
-		name := key[:len(key)-len(canonical(h.labels))]
-		s := Series{
-			Name: name, Type: "histogram",
-			Labels: labelMap(h.labels),
-			Sum:    h.Sum(), Count: h.Count(),
-			canon: canonical(h.labels),
+	for _, cs := range r.counters {
+		for _, c := range cs {
+			out = append(out, Series{
+				Name: c.name, Type: "counter",
+				Labels: labelMap(c.labels), Value: c.Value(),
+				canon: c.canon,
+			})
 		}
-		cum := uint64(0)
-		for i, b := range h.bounds {
-			cum += h.counts[i].Load()
-			s.Buckets = append(s.Buckets, Bucket{UpperBound: b, Count: cum})
+	}
+	for _, gs := range r.gauges {
+		for _, g := range gs {
+			out = append(out, Series{
+				Name: g.name, Type: "gauge",
+				Labels: labelMap(g.labels), Value: g.Value(),
+				canon: g.canon,
+			})
 		}
-		cum += h.counts[len(h.bounds)].Load()
-		s.Buckets = append(s.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
-		out = append(out, s)
+	}
+	for _, hs := range r.hists {
+		for _, h := range hs {
+			s := Series{
+				Name: h.name, Type: "histogram",
+				Labels: labelMap(h.labels),
+				Sum:    h.Sum(), Count: h.Count(),
+				canon: h.canon,
+			}
+			cum := uint64(0)
+			for i, b := range h.bounds {
+				cum += h.counts[i].Load()
+				s.Buckets = append(s.Buckets, Bucket{UpperBound: b, Count: cum})
+			}
+			cum += h.counts[len(h.bounds)].Load()
+			s.Buckets = append(s.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {

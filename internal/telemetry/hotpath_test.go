@@ -131,3 +131,50 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(2e-3)
 	}
 }
+
+// TestLookupAllocs pins the lookup side of the hot path: fetching an
+// existing labeled counter, gauge or histogram hashes the sorted
+// labels on the stack and builds no string, so it allocates nothing
+// (scripts/check.sh stresses this with -count 20 -cpu 1,2,4).
+func TestLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	lbl := []Label{L("kernel", "pJDS"), L("device", "Tesla C2070"), Li("rank", 3)}
+	r.Counter("lookup_total", lbl...)
+	r.Gauge("lookup_gauge", lbl...)
+	r.Histogram("lookup_seconds", nil, lbl...)
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Counter("lookup_total", lbl...).Inc()
+		r.Gauge("lookup_gauge", L("stream", "val"), L("kernel", "pJDS")).Set(1)
+		r.Histogram("lookup_seconds", nil, lbl...).Observe(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("existing-series lookup: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestLookupLabelOrder checks that label order does not split a
+// series: every permutation of one label set names the same handle,
+// and a different value names a different one.
+func TestLookupLabelOrder(t *testing.T) {
+	r := NewRegistry()
+	a := r.Counter("order_total", L("b", "2"), L("a", "1"), L("c", "3"))
+	for _, ls := range [][]Label{
+		{L("a", "1"), L("b", "2"), L("c", "3")},
+		{L("c", "3"), L("a", "1"), L("b", "2")},
+	} {
+		if r.Counter("order_total", ls...) != a {
+			t.Fatalf("labels %v resolved to a new series", ls)
+		}
+	}
+	if r.Counter("order_total", L("a", "1"), L("b", "2"), L("c", "4")) == a {
+		t.Fatal("a different label value resolved to the same series")
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE order_total counter\norder_total{a=\"1\",b=\"2\",c=\"3\"} 0\norder_total{a=\"1\",b=\"2\",c=\"4\"} 0\n"
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}

@@ -41,13 +41,8 @@ func canonical(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Key != ls[j].Key {
-			return ls[i].Key < ls[j].Key
-		}
-		return ls[i].Value < ls[j].Value
-	})
+	var buf [stackLabels]Label
+	ls := sortLabels(buf[:0], labels)
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, l := range ls {
@@ -61,6 +56,76 @@ func canonical(labels []Label) string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// stackLabels is the label count a series lookup sorts without a heap
+// allocation; every series in the tree carries fewer.
+const stackLabels = 8
+
+// sortLabels appends labels to dst and sorts the appended run by key,
+// then value (the canonical order). Insertion sort: label sets are
+// tiny, and sort.Slice would force dst onto the heap.
+func sortLabels(dst, labels []Label) []Label {
+	dst = append(dst, labels...)
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && labelLess(dst[j], dst[j-1]); j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
+}
+
+func labelLess(a, b Label) bool {
+	if a.Key != b.Key {
+		return a.Key < b.Key
+	}
+	return a.Value < b.Value
+}
+
+// seriesHash is FNV-1a over the name and the sorted labels. Label
+// values may contain the separator bytes, so distinct series can
+// collide; lookups resolve that with series.is.
+func seriesHash(name string, sorted []Label) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(s string, sep byte) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		h = (h ^ uint64(sep)) * 1099511628211
+	}
+	mix(name, '{')
+	for _, l := range sorted {
+		mix(l.Key, '=')
+		mix(l.Value, ',')
+	}
+	return h
+}
+
+// series is the identity every metric kind shares: its family name,
+// its labels in canonical order and their canonical string (the
+// exposition sort key). All three are built once, when the series is
+// created.
+type series struct {
+	name   string
+	labels []Label
+	canon  string
+}
+
+func newSeries(name string, sorted []Label) series {
+	return series{name: name, labels: append([]Label(nil), sorted...), canon: canonical(sorted)}
+}
+
+// is reports whether the series is name with the given sorted labels.
+func (s *series) is(name string, sorted []Label) bool {
+	if s.name != name || len(s.labels) != len(sorted) {
+		return false
+	}
+	for i, l := range sorted {
+		if s.labels[i] != l {
+			return false
+		}
+	}
+	return true
 }
 
 // escapeLabel applies the Prometheus label-value escaping rules.
@@ -110,8 +175,8 @@ func (f *atomicFloat) add(v float64) {
 
 // Counter is a monotonically increasing series.
 type Counter struct {
-	labels []Label
-	val    atomicFloat
+	series
+	val atomicFloat
 }
 
 // Add increases the counter; negative deltas panic (counters are
@@ -131,8 +196,8 @@ func (c *Counter) Value() float64 { return c.val.load() }
 
 // Gauge is a series holding the last observed value.
 type Gauge struct {
-	labels []Label
-	val    atomicFloat
+	series
+	val atomicFloat
 }
 
 // Set stores v.
@@ -146,7 +211,7 @@ func (g *Gauge) Value() float64 { return g.val.load() }
 
 // Histogram accumulates observations into fixed cumulative buckets.
 type Histogram struct {
-	labels []Label
+	series
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []atomic.Uint64
 	sum    atomicFloat
@@ -173,12 +238,14 @@ var DefBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4
 
 // Registry holds metric families. All methods are safe for concurrent
 // use; series handles (Counter, Gauge, Histogram) update with atomics
-// only.
+// only. Series are indexed by seriesHash, each bucket a short list
+// disambiguated by series.is, so looking up an existing series builds
+// no string and allocates nothing.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters map[uint64][]*Counter
+	gauges   map[uint64][]*Gauge
+	hists    map[uint64][]*Histogram
 	// kind guards one name against being used as several metric types.
 	kind map[string]string
 	help map[string]string
@@ -187,9 +254,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		counters: map[uint64][]*Counter{},
+		gauges:   map[uint64][]*Gauge{},
+		hists:    map[uint64][]*Histogram{},
 		kind:     map[string]string{},
 		help:     map[string]string{},
 	}
@@ -223,30 +290,38 @@ func (r *Registry) checkKind(name, want string) {
 // Counter returns the counter series for name+labels, creating it on
 // first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	key := name + canonical(labels)
+	var buf [stackLabels]Label
+	sorted := sortLabels(buf[:0], labels)
+	h := seriesHash(name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[key]; ok {
-		return c
+	for _, c := range r.counters[h] {
+		if c.is(name, sorted) {
+			return c
+		}
 	}
 	r.checkKind(name, "counter")
-	c := &Counter{labels: append([]Label(nil), labels...)}
-	r.counters[key] = c
+	c := &Counter{series: newSeries(name, sorted)}
+	r.counters[h] = append(r.counters[h], c)
 	return c
 }
 
 // Gauge returns the gauge series for name+labels, creating it on first
 // use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := name + canonical(labels)
+	var buf [stackLabels]Label
+	sorted := sortLabels(buf[:0], labels)
+	h := seriesHash(name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[key]; ok {
-		return g
+	for _, g := range r.gauges[h] {
+		if g.is(name, sorted) {
+			return g
+		}
 	}
 	r.checkKind(name, "gauge")
-	g := &Gauge{labels: append([]Label(nil), labels...)}
-	r.gauges[key] = g
+	g := &Gauge{series: newSeries(name, sorted)}
+	r.gauges[h] = append(r.gauges[h], g)
 	return g
 }
 
@@ -254,11 +329,15 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // with the given ascending bucket bounds on first use (nil selects
 // DefBuckets). Later calls reuse the first bounds.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	key := name + canonical(labels)
+	var buf [stackLabels]Label
+	sorted := sortLabels(buf[:0], labels)
+	h := seriesHash(name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[key]; ok {
-		return h
+	for _, hs := range r.hists[h] {
+		if hs.is(name, sorted) {
+			return hs
+		}
 	}
 	r.checkKind(name, "histogram")
 	if bounds == nil {
@@ -269,11 +348,11 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending", name))
 		}
 	}
-	h := &Histogram{
-		labels: append([]Label(nil), labels...),
+	hs := &Histogram{
+		series: newSeries(name, sorted),
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	r.hists[key] = h
-	return h
+	r.hists[h] = append(r.hists[h], hs)
+	return hs
 }

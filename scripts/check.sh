@@ -8,7 +8,9 @@
 # parallel ingest-and-convert pipeline, and the host-kernel layer with
 # its worker pools), a seeded chaos smoke scenario, a conversion
 # determinism smoke (matinfo at 1 vs 4 workers must produce
-# byte-identical output), a host-kernel byte-diff smoke (spmvbench
+# byte-identical output), stress runs of the allocation gates
+# (plan replay, telemetry series lookup, host kernels at -count 20
+# -cpu 1,2,4), a host-kernel byte-diff smoke (spmvbench
 # -hostbench digests must be identical for naive, blocked, sell and
 # cmrs), and a format-tuning smoke (spmvbench -format auto must sweep,
 # digest-match naive on every matrix, surface its winner through
@@ -60,6 +62,15 @@ go test -race ./internal/telemetry/... ./internal/simnet/... \
 
 echo "== go test -race (gpu worker pool, Workers>1) =="
 go test -race ./internal/gpu/...
+
+echo "== allocation gates under stress (replay, series lookup, host kernels) =="
+# The 0-alloc and 1-alloc claims must hold on every run and at every
+# GOMAXPROCS, not just once: a warmed plan replay allocates only its
+# returned *KernelStats, looking up an existing telemetry series
+# allocates nothing, and a warmed host kernel allocates nothing.
+go test -run '^TestReplayAllocs$' -count 20 -cpu 1,2,4 ./internal/gpu/
+go test -run '^TestLookupAllocs$' -count 20 -cpu 1,2,4 ./internal/telemetry/
+go test -run '^TestKernelsZeroAlloc$' -count 20 -cpu 1,2,4 ./internal/hostkernel/
 
 echo "== go test -race (ingest-and-convert pipeline) =="
 go test -race ./internal/matrix/... ./internal/core/... \
