@@ -180,8 +180,8 @@ func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, servi
 	rep := &swarmReport{Clients: o.clients, RequestsPerClnt: o.reqs}
 	var (
 		ok, shed, unavail, timeout, checkpointed, killed, mismatches, other atomic.Int64
-		latMu                                                              sync.Mutex
-		lats                                                               []float64
+		latMu                                                               sync.Mutex
+		lats                                                                []float64
 	)
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        o.clients * 2,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 )
 
@@ -85,5 +86,36 @@ func BenchmarkPJDSMulVec(b *testing.B) {
 		if err := p.MulVec(y, x); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPJDSMulRows runs the one pJDS row body over the three
+// service-resident shapes of the serve-mixed benchmark workload: a
+// 5-point stencil (constant row length), sAMG and DLR1 (ragged).
+func BenchmarkPJDSMulRows(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		m    *matrix.CSR[float64]
+	}{
+		{"stencil2d", matgen.Stencil2D(96, 96)},
+		{"samg", matgen.SAMG(0.002, 1)},
+		{"dlr1", matgen.DLR1(0.0012, 1)},
+	} {
+		p, err := NewPJDS(c.m, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := make([]float64, p.NCols)
+		for i := range x {
+			x[i] = 0.5 + float64(i%13)/13
+		}
+		yp := make([]float64, p.N)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(p.Nnz) * 12)
+			for b.Loop() {
+				p.MulRows(yp, x, 0, p.N, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Nnz), "ns/nnz")
+		})
 	}
 }

@@ -260,36 +260,64 @@ func (p *PJDS[T]) MulVecPermuted(yp, xp []T) error {
 
 // MulRows computes sorted rows [lo, hi) of yp = Ap·xp (yp += Ap·xp
 // when accumulate is set) with the Listing-2 access pattern
-// val[col_start[j]+i], 4 jagged diagonals per iteration. Each row is
-// summed in stored column order, so any partition of the rows gives
-// the same bits. It is the one pJDS body: MulVecPermuted, the host
-// kernel's workers and the simulated device replay all run it.
+// val[col_start[j]+i]. Rows advance 4 at a time in lockstep, as the
+// threads of a warp do: rows are sorted by descending length, so rows
+// i..i+3 all have genuine entries in the first RowLen[i+3] columns,
+// and each such column holds their 4 entries contiguously at
+// ColStart[j]+i. The 4 rows run that shared prefix with independent
+// accumulators, then each finishes its own ragged tail; rows left over
+// at the end of the range run alone. Each row is still summed in
+// stored column order and padding is never read, so any partition of
+// the rows gives the same bits. It is the one pJDS body:
+// MulVecPermuted, the host kernel's workers and the simulated device
+// replay all run it.
 func (p *PJDS[T]) MulRows(yp, xp []T, lo, hi int, accumulate bool) {
-	val, idx, cs := p.Val, p.ColIdx, p.ColStart
-	for i := lo; i < hi; i++ {
-		l := int(p.RowLen[i])
-		var sum T
-		j := 0
-		for ; j+4 <= l; j += 4 {
-			o0 := int(cs[j]) + i
-			o1 := int(cs[j+1]) + i
-			o2 := int(cs[j+2]) + i
-			o3 := int(cs[j+3]) + i
-			sum += val[o0] * xp[idx[o0]]
-			sum += val[o1] * xp[idx[o1]]
-			sum += val[o2] * xp[idx[o2]]
-			sum += val[o3] * xp[idx[o3]]
+	val, idx, cs, rl := p.Val, p.ColIdx, p.ColStart, p.RowLen
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		var s0, s1, s2, s3 T
+		shared := int(rl[i+3])
+		for _, c := range cs[:shared] {
+			o := int(c) + i
+			v := val[o : o+4 : o+4]
+			k := idx[o : o+4 : o+4]
+			s0 += v[0] * xp[k[0]]
+			s1 += v[1] * xp[k[1]]
+			s2 += v[2] * xp[k[2]]
+			s3 += v[3] * xp[k[3]]
 		}
-		for ; j < l; j++ {
-			off := int(cs[j]) + i
-			sum += val[off] * xp[idx[off]]
+		s0 = p.rowTail(s0, xp, i, shared)
+		s1 = p.rowTail(s1, xp, i+1, shared)
+		s2 = p.rowTail(s2, xp, i+2, shared)
+		s3 = p.rowTail(s3, xp, i+3, shared)
+		y := yp[i : i+4 : i+4]
+		if accumulate {
+			y[0] += s0
+			y[1] += s1
+			y[2] += s2
+			y[3] += s3
+		} else {
+			y[0], y[1], y[2], y[3] = s0, s1, s2, s3
 		}
+	}
+	for ; i < hi; i++ {
+		sum := p.rowTail(0, xp, i, 0)
 		if accumulate {
 			yp[i] += sum
 		} else {
 			yp[i] = sum
 		}
 	}
+}
+
+// rowTail adds sorted row i's entries from column j on to sum, in
+// stored column order.
+func (p *PJDS[T]) rowTail(sum T, xp []T, i, j int) T {
+	for ; j < int(p.RowLen[i]); j++ {
+		o := int(p.ColStart[j]) + i
+		sum += p.Val[o] * xp[p.ColIdx[o]]
+	}
+	return sum
 }
 
 // MulVec computes y = A·x in the original row order, scattering the

@@ -15,47 +15,6 @@ import (
 	"pjds/internal/telemetry"
 )
 
-// edgeShapes returns the matgen-derived shapes the plan kernels are
-// most likely to get wrong: empty rows (interior and trailing), a 1×1
-// matrix, one dense row among short ones, and sizes that leave a
-// partial trailing warp.
-func edgeShapes() map[string]*matrix.CSR[float64] {
-	// Drop every fifth row of a banded matrix, plus the last six.
-	band := matgen.Banded(77, 1, 9, 6, 3)
-	holes := matrix.NewCOO[float64](77, 77)
-	for i := 0; i < 71; i++ {
-		if i%5 == 2 {
-			continue
-		}
-		cols, vals := band.Row(i)
-		for k, c := range cols {
-			holes.Add(i, int(c), vals[k])
-		}
-	}
-	// A fully dense row 9 among the short rows of a tridiagonal.
-	tri := matgen.Tridiagonal(45)
-	dense := matrix.NewCOO[float64](45, 45)
-	for i := 0; i < 45; i++ {
-		if i == 9 {
-			for j := 0; j < 45; j++ {
-				dense.Add(i, j, 1+float64(j)/8)
-			}
-			continue
-		}
-		cols, vals := tri.Row(i)
-		for k, c := range cols {
-			dense.Add(i, int(c), vals[k])
-		}
-	}
-	return map[string]*matrix.CSR[float64]{
-		"empty-rows": holes.ToCSR(),
-		"n=1":        matgen.Tridiagonal(1),
-		"dense-row":  dense.ToCSR(),
-		"ragged-203": matgen.PowerLaw(203, 1, 50, 0.6, 5),
-		"all-empty":  matrix.NewCOO[float64](40, 40).ToCSR(),
-	}
-}
-
 // layoutCase is one plan kernel over one matrix: run executes the
 // device replay, host the layout's own host kernel, both in the
 // layout's row basis; perm maps that basis to original rows (nil for
@@ -114,7 +73,7 @@ func layoutCases(t *testing.T, m *matrix.CSR[float64]) []layoutCase {
 // and the CRS reference (in the layout's row basis) bit for bit, and
 // the KernelStats do not depend on the worker count.
 func TestPlanKernelsBitIdentical(t *testing.T) {
-	for shape, m := range edgeShapes() {
+	for shape, m := range matgen.EdgeShapes() {
 		x := randVec(m.NCols, 5)
 		crs := refMulVec(t, m, x)
 		for _, lc := range layoutCases(t, m) {
@@ -192,7 +151,7 @@ var pinnedStats = map[string]struct {
 // reports exactly the recorded counters, derived model quantities and
 // telemetry bytes, at one worker and at eight.
 func TestPlanKernelStatsPinned(t *testing.T) {
-	m := edgeShapes()["ragged-203"]
+	m := matgen.EdgeShapes()["ragged-203"]
 	x := randVec(m.NCols, 5)
 	for _, lc := range layoutCases(t, m) {
 		for _, w := range []int{1, 8} {

@@ -10,7 +10,7 @@ import (
 	"pjds/internal/profiles"
 )
 
-// PJDSKernel is the parallel, unrolled host kernel over a pJDS
+// PJDSKernel is the parallel host kernel over a pJDS
 // layout. It is the host execution engine of the solver's permuted
 // operator (and therefore of the ECC-downgrade path): it runs
 // core.PJDS.MulRows — the same body as MulVecPermuted and the

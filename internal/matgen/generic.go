@@ -233,3 +233,45 @@ func Stencil2D(nx, ny int) *matrix.CSR[float64] {
 	}
 	return b.finish()
 }
+
+// EdgeShapes returns the shapes a row kernel is most likely to get
+// wrong, by name: empty rows both interior and trailing ("empty-rows":
+// a banded 77×77 with every fifth row and the last six emptied), a 1×1
+// matrix ("n=1"), one dense row among the short rows of a tridiagonal
+// ("dense-row"), a ragged power-law matrix whose 203 rows leave a
+// partial trailing warp ("ragged-203") and a matrix with no entries
+// ("all-empty").
+func EdgeShapes() map[string]*matrix.CSR[float64] {
+	band := Banded(77, 1, 9, 6, 3)
+	holes := matrix.NewCOO[float64](77, 77)
+	for i := 0; i < 71; i++ {
+		if i%5 == 2 {
+			continue
+		}
+		cols, vals := band.Row(i)
+		for k, c := range cols {
+			holes.Add(i, int(c), vals[k])
+		}
+	}
+	tri := Tridiagonal(45)
+	dense := matrix.NewCOO[float64](45, 45)
+	for i := 0; i < 45; i++ {
+		if i == 9 {
+			for j := 0; j < 45; j++ {
+				dense.Add(i, j, 1+float64(j)/8)
+			}
+			continue
+		}
+		cols, vals := tri.Row(i)
+		for k, c := range cols {
+			dense.Add(i, int(c), vals[k])
+		}
+	}
+	return map[string]*matrix.CSR[float64]{
+		"empty-rows": holes.ToCSR(),
+		"n=1":        Tridiagonal(1),
+		"dense-row":  dense.ToCSR(),
+		"ragged-203": PowerLaw(203, 1, 50, 0.6, 5),
+		"all-empty":  matrix.NewCOO[float64](40, 40).ToCSR(),
+	}
+}

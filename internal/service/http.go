@@ -231,14 +231,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// inputVector resolves the explicit-or-seeded input of a request.
-func inputVector(explicit []float64, seed uint64, n int) []float64 {
-	if explicit != nil {
-		return explicit
-	}
-	return SeedVector(n, seed)
-}
-
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	var req SpMVRequest
 	if !decodeBody(w, r, &req) {
@@ -255,7 +247,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.SpMV(a.ctx, e, inputVector(req.X, req.Seed, e.info.Rows), req.WantY)
+	res, err := s.SpMV(a.ctx, e, req.X, req.Seed, req.WantY)
 	if err != nil {
 		s.writeErr(w, a, "spmv", err)
 		return
@@ -280,7 +272,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.Solve(a.ctx, e, inputVector(req.B, req.Seed, e.info.Rows), req.Tol, req.MaxIter)
+	res, err := s.Solve(a.ctx, e, req.B, req.Seed, req.Tol, req.MaxIter)
 	if err != nil {
 		if res.Checkpointed {
 			// Cancelled cooperatively (deadline or drain): hand the
@@ -412,13 +404,18 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 func SeedVector(n int, seed uint64) []float64 {
 	x := make([]float64, n)
 	for i := range x {
-		z := seed + uint64(i+1)*0x9e3779b97f4a7c15
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		x[i] = 0.5 + float64(z>>11)/float64(1<<53)
+		x[i] = seedAt(seed, i)
 	}
 	return x
+}
+
+// seedAt is element i of SeedVector(n, seed), for any n > i.
+func seedAt(seed uint64, i int) float64 {
+	z := seed + uint64(i+1)*0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return 0.5 + float64(z>>11)/float64(1<<53)
 }

@@ -29,12 +29,9 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,9 +125,9 @@ type MatrixInfo struct {
 // matrixEntry is one stored matrix: the pJDS-permuted operator shared
 // by every tenant, plus a freelist of host kernels (a PJDSKernel
 // carries per-call state, so concurrent requests must not share one)
-// and a pool of permuted-basis vector pairs. The pool is a sync.Pool
+// and a pool of request vectors. The pool is a sync.Pool
 // rather than a freelist so an idle matrix gives its vectors back to
-// the collector instead of pinning one pair per past concurrent
+// the collector instead of pinning one set per past concurrent
 // request.
 type matrixEntry struct {
 	info  MatrixInfo
@@ -141,18 +138,33 @@ type matrixEntry struct {
 	vecs  sync.Pool // of *permVecs
 }
 
-// permVecs is one request's pair of permuted-basis vectors: x and y
-// of an SpMV, b and the iterate of a solve.
-type permVecs struct{ in, out []float64 }
+// permVecs is one request's vectors: in and out are the permuted-basis
+// x and y of an SpMV (b and the iterate of a solve), orig receives the
+// original-basis result when it does not outlive the request.
+type permVecs struct{ in, out, orig []float64 }
 
-// takeVecs returns a pooled vector pair of the matrix dimension (the
+// takeVecs returns pooled request vectors of the matrix dimension (the
 // contents are the last request's; callers overwrite or clear them).
 func (e *matrixEntry) takeVecs() *permVecs {
 	if v, ok := e.vecs.Get().(*permVecs); ok {
 		return v
 	}
 	n := e.info.Rows
-	return &permVecs{in: make([]float64, n), out: make([]float64, n)}
+	return &permVecs{in: make([]float64, n), out: make([]float64, n), orig: make([]float64, n)}
+}
+
+// enter fills the pooled permuted-basis input of a request: x gathered
+// when the request carried one, otherwise the seed's vector generated
+// in place (xp[k] = seedAt(seed, Perm[k]), bit-identical to gathering
+// SeedVector without building it).
+func (e *matrixEntry) enter(dst, x []float64, seed uint64) []float64 {
+	if x != nil {
+		return e.op.Enter(dst, x)
+	}
+	for k, old := range e.op.Perm {
+		dst[k] = seedAt(seed, old)
+	}
+	return dst
 }
 
 // kernel takes a host kernel from the freelist, building one when the
@@ -536,20 +548,21 @@ type SpMVResult struct {
 	Y      []float64 `json:"y,omitempty"`
 }
 
-// SpMV computes y = A·x for a stored matrix. x must have the matrix
-// dimension; the caller owns the admission slot already.
-func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, wantY bool) (SpMVResult, error) {
+// SpMV computes y = A·x for a stored matrix. x, when non-nil, must
+// have the matrix dimension; a nil x selects SeedVector(n, seed). The
+// caller owns the admission slot already.
+func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, seed uint64, wantY bool) (SpMVResult, error) {
 	n := e.info.Rows
-	if len(x) != n {
+	if x != nil && len(x) != n {
 		return SpMVResult{}, fmt.Errorf("service: |x|=%d on %dx%d matrix", len(x), n, n)
 	}
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	// Only the original-basis result is a fresh allocation: it outlives
-	// the request (res.Y). Apply overwrites every row of yp.
+	// Only a returned y is a fresh allocation: it outlives the request
+	// (res.Y). Apply overwrites every row of yp.
 	v := e.takeVecs()
 	defer e.vecs.Put(v)
-	xp := e.op.Enter(v.in, x)
+	xp := e.enter(v.in, x, seed)
 	yp := v.out
 	t0 := time.Now()
 	if err := op.Apply(yp, xp); err != nil {
@@ -559,7 +572,11 @@ func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, wantY bo
 	if tier == "host" {
 		s.recordTuningLag(e, time.Since(t0))
 	}
-	y := e.op.Leave(make([]float64, n), yp)
+	y := v.orig
+	if wantY {
+		y = make([]float64, n)
+	}
+	e.op.Leave(y, yp)
 	res := SpMVResult{Digest: DigestVector(y), Tier: tier}
 	if wantY {
 		res.Y = y
@@ -580,13 +597,14 @@ type SolveResult struct {
 	Checkpointed bool    `json:"checkpointed,omitempty"`
 }
 
-// Solve runs CG on a stored matrix. On cooperative cancellation
+// Solve runs CG on a stored matrix; b and seed select the right-hand
+// side as x and seed do for SpMV. On cooperative cancellation
 // (deadline, client gone, drain) it returns the checkpointed state of
 // the current iterate instead of an error: the work done is not
 // discarded, matching the recoverable-solver semantics of PR 4.
-func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, tol float64, maxIter int) (SolveResult, error) {
+func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, seed uint64, tol float64, maxIter int) (SolveResult, error) {
 	n := e.info.Rows
-	if len(b) != n {
+	if b != nil && len(b) != n {
 		return SolveResult{}, fmt.Errorf("service: |b|=%d on %dx%d matrix", len(b), n, n)
 	}
 	if tol <= 0 {
@@ -599,13 +617,12 @@ func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, tol flo
 	defer op.close()
 	v := e.takeVecs()
 	defer e.vecs.Put(v)
-	bp := e.op.Enter(v.in, b)
+	bp := e.enter(v.in, b, seed)
 	xp := v.out
 	clear(xp) // CG starts from x0 = 0
 	cg, err := solver.CG(op, xp, bp, tol, maxIter)
-	x := e.op.Leave(make([]float64, n), xp)
 	res := SolveResult{
-		Digest:     DigestVector(x),
+		Digest:     DigestVector(e.op.Leave(v.orig, xp)),
 		Tier:       op.tierName(),
 		Iterations: cg.Iterations,
 		Residual:   cg.Residual,
@@ -719,40 +736,20 @@ func (s *Server) Quantiles() (p50, p99 float64) { return s.lat.quantiles() }
 // Served returns the number of successful requests.
 func (s *Server) Served() int64 { return s.served.Load() }
 
-// DigestVector hashes the float64 bit patterns of y (little-endian),
-// so two vectors digest equal exactly when they are bit-identical —
-// the same contract as the hostbench digest lines.
-func DigestVector(y []float64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range y {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		_, _ = h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // contentFingerprint derives the dedup identity of a matrix from its
 // full content (dimensions, structure, values), not its name: two
 // tenants uploading the same matrix under different names share one
 // entry.
 func contentFingerprint(m *matrix.CSR[float64]) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
-	}
-	put(uint64(m.NRows))
-	put(uint64(m.NCols))
+	h := newHasher()
+	h.word(uint64(m.NRows))
+	h.word(uint64(m.NCols))
 	for _, p := range m.RowPtr {
-		put(uint64(p))
+		h.word(uint64(p))
 	}
 	for _, c := range m.ColIdx {
-		put(uint64(c))
+		h.word(uint64(c))
 	}
-	for _, v := range m.Val {
-		put(math.Float64bits(v))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	h.floats(m.Val)
+	return h.hex()
 }

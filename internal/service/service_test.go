@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +147,79 @@ func TestUploadDedupAndSpMVDigest(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown matrix: HTTP %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestSeededMatchesExplicit: a request carrying a seed, whose vector
+// the server generates straight into the permuted basis, gives the
+// same bits as the same vector sent explicitly — for spmv (digest and
+// returned y) and for solve.
+func TestSeededMatchesExplicit(t *testing.T) {
+	m, body := testMatrixBody(t)
+	_, ts := newTestServer(t, Config{Devices: 1})
+	info := upload(t, ts, "m", body)
+	x := SeedVector(m.NRows, 9)
+
+	var seeded, explicit SpMVResult
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 9, WantY: true}, &seeded)
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, X: x, WantY: true}, &explicit)
+	if seeded.Digest == "" || seeded.Digest != explicit.Digest {
+		t.Fatalf("spmv digest: seeded %q, explicit %q", seeded.Digest, explicit.Digest)
+	}
+	if want := referenceDigest(t, m, x); seeded.Digest != want {
+		t.Fatalf("spmv digest %s != reference %s", seeded.Digest, want)
+	}
+	if DigestVector(seeded.Y) != seeded.Digest || DigestVector(explicit.Y) != seeded.Digest {
+		t.Fatal("returned y does not match its digest")
+	}
+
+	var sSeeded, sExplicit SolveResult
+	post(t, ts, "/v1/solve", nil, SolveRequest{Matrix: info.ID, Seed: 9, MaxIter: 20}, &sSeeded)
+	post(t, ts, "/v1/solve", nil, SolveRequest{Matrix: info.ID, B: x, MaxIter: 20}, &sExplicit)
+	if sSeeded.Digest == "" || sSeeded.Digest != sExplicit.Digest || sSeeded.Iterations != sExplicit.Iterations {
+		t.Fatalf("solve: seeded %+v, explicit %+v", sSeeded, sExplicit)
+	}
+}
+
+// TestSeededSpMVAllocs: a warmed seeded SpMV that does not return y
+// generates its input and scatters its result into pooled vectors, so
+// it allocates well under one n-vector (8·n bytes) per request.
+func TestSeededSpMVAllocs(t *testing.T) {
+	m := matgen.Stencil2D(32, 32)
+	var buf bytes.Buffer
+	if err := matrix.WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Devices: 1, Registry: telemetry.NewRegistry()})
+	defer s.Close()
+	info, err := s.AddMatrix("m", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	spmv := func() {
+		if _, err := s.SpMV(ctx, e, nil, 3, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		spmv()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		spmv()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 8 * float64(m.NRows); perReq >= limit {
+		t.Fatalf("seeded SpMV allocates %.0f B/request, want < %.0f (8·n)", perReq, limit)
+	}
+	t.Logf("%.0f B/request (n=%d)", perReq, m.NRows)
 }
 
 // eccAt fires an uncorrectable ECC event at one launch index.

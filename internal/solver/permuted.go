@@ -14,9 +14,8 @@ import (
 // pure Listing-2 kernel with no per-iteration gather/scatter. Enter
 // and Leave convert vectors between the bases exactly once per solve,
 // the usage §II-A prescribes for Krylov methods. Applications run on
-// the unrolled hostkernel pJDS kernel (bit-identical to
-// MulVecPermuted), so the host path of a solve gets the fast
-// zero-alloc loop.
+// the hostkernel pJDS kernel (the same row body as MulVecPermuted),
+// so the host path of a solve gets the fast zero-alloc loop.
 type PermutedPJDS struct {
 	P *core.PJDS[float64]
 	// Perm is the symmetric permutation applied (new → old).

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repository health check: vet (the root module and the separate
+# Repository health check: gofmt, vet (the root module and the separate
 # perfbench benchmark module), build, the full test suite, and a race
 # run over the concurrency-heavy packages (virtual-time fabric, the
 # MPI-like layer, the distributed spMVM engine, fault plans, the
@@ -9,8 +9,8 @@
 # its worker pools), a seeded chaos smoke scenario, a conversion
 # determinism smoke (matinfo at 1 vs 4 workers must produce
 # byte-identical output), stress runs of the allocation gates
-# (plan replay, telemetry series lookup, host kernels at -count 20
-# -cpu 1,2,4), a host-kernel byte-diff smoke (spmvbench
+# (plan replay, telemetry series lookup, host kernels, seeded service
+# SpMV at -count 20 -cpu 1,2,4), a host-kernel byte-diff smoke (spmvbench
 # -hostbench digests must be identical for naive, blocked, sell and
 # cmrs), and a format-tuning smoke (spmvbench -format auto must sweep,
 # digest-match naive on every matrix, surface its winner through
@@ -35,6 +35,16 @@ cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+
+echo "== gofmt =="
+# Every Go file of both modules must be gofmt-clean (the directories
+# are named so build caches such as .bench_build are not scanned).
+UNFORMATTED=$(gofmt -l ./*.go cmd examples internal perfbench)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l lists unformatted files:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -63,14 +73,16 @@ go test -race ./internal/telemetry/... ./internal/simnet/... \
 echo "== go test -race (gpu worker pool, Workers>1) =="
 go test -race ./internal/gpu/...
 
-echo "== allocation gates under stress (replay, series lookup, host kernels) =="
+echo "== allocation gates under stress (replay, series lookup, host kernels, seeded spmv) =="
 # The 0-alloc and 1-alloc claims must hold on every run and at every
 # GOMAXPROCS, not just once: a warmed plan replay allocates only its
 # returned *KernelStats, looking up an existing telemetry series
-# allocates nothing, and a warmed host kernel allocates nothing.
+# allocates nothing, a warmed host kernel allocates nothing, and a
+# warmed seeded service SpMV without y allocates under one n-vector.
 go test -run '^TestReplayAllocs$' -count 20 -cpu 1,2,4 ./internal/gpu/
 go test -run '^TestLookupAllocs$' -count 20 -cpu 1,2,4 ./internal/telemetry/
 go test -run '^TestKernelsZeroAlloc$' -count 20 -cpu 1,2,4 ./internal/hostkernel/
+go test -run '^TestSeededSpMVAllocs$' -count 20 -cpu 1,2,4 ./internal/service/
 
 echo "== go test -race (ingest-and-convert pipeline) =="
 go test -race ./internal/matrix/... ./internal/core/... \
